@@ -5,19 +5,35 @@ Operators: ``=``, ``<>``, ``<``, ``<=``, ``>``, ``>=``, ``contains``,
 semantics, matching the DuckDB oracle).
 
 On dictionary-encoded blocks, value-level predicates against a literal
-are evaluated **on the dictionary** (z values) and broadcast through the
-codes with one gather — the paper's operate-on-compressed-data path
-(§5.1). Everything else is evaluated on decoded values with NULLs
-masked out first.
+are evaluated **on the dictionary** (z values, plus a False NULL slot)
+and broadcast through the codes with one gather — the paper's
+operate-on-compressed-data path (§5.1). The dictionary mask is computed
+once per operator per query: a compiled operator passes a memo dict to
+:func:`eval_block_vs_literal`, which keeps the mask of each dictionary
+it has met, so every later block costs only the gather. The memo lives
+in the compiled plan and dies with the query.
+
+Everything else is evaluated on the block's values with NULLs masked
+out first: numpy ufuncs for comparisons, and one Python string or
+membership test per non-NULL value for ``contains`` / ``startswith`` /
+``in``, with the semantics of :func:`scalar_op`.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.proc.chunk import Block
 
 OPS = ("=", "<>", "<", "<=", ">", ">=", "contains", "startswith", "in")
+
+_COMPARE = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def scalar_op(op: str, left, right) -> bool:
@@ -45,46 +61,79 @@ def scalar_op(op: str, left, right) -> bool:
     raise ValueError(f"unknown op {op!r}")
 
 
-def _apply_masked(op: str, vals: np.ndarray, nulls: np.ndarray | None, lit):
-    """Vectorized op against a literal; NULL rows are False."""
-    n = len(vals)
-    out = np.zeros(n, dtype=bool)
-    nn = np.ones(n, dtype=bool) if nulls is None else ~np.asarray(nulls)
-    if not nn.any():
-        return out
-    v = vals[nn]
-    if op == "contains":
-        res = pd.Series(v).str.contains(str(lit), regex=False).fillna(False)
-        out[nn] = res.to_numpy(dtype=bool)
+def _match(op: str, vals: np.ndarray, lit, lit_left: bool) -> np.ndarray:
+    """``contains`` / ``startswith`` / ``in`` over non-NULL values, one
+    Python test per value, exactly as :func:`scalar_op` decides it."""
+    xs = vals.tolist()
+    if lit_left:
+        hits = [scalar_op(op, lit, x) for x in xs]
+    elif op == "contains":
+        s = str(lit)
+        hits = [s in str(x) for x in xs]
     elif op == "startswith":
-        res = pd.Series(v).str.startswith(str(lit)).fillna(False)
-        out[nn] = res.to_numpy(dtype=bool)
+        s = str(lit)
+        hits = [str(x).startswith(s) for x in xs]
     elif op == "in":
-        out[nn] = pd.Series(v).isin(list(lit)).to_numpy(dtype=bool)
+        hits = [x in lit for x in xs]
     else:
-        fn = {
-            "=": np.equal,
-            "<>": np.not_equal,
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-        }[op]
-        out[nn] = fn(v, lit)
+        raise ValueError(f"unknown op {op!r}")
+    return np.array(hits, dtype=bool)
+
+
+def _apply(op: str, vals: np.ndarray, lit, lit_left: bool) -> np.ndarray:
+    """``vals OP lit`` (or ``lit OP vals``) over non-NULL values."""
+    fn = _COMPARE.get(op)
+    if fn is None:
+        return _match(op, vals, lit, lit_left)
+    return fn(lit, vals) if lit_left else fn(vals, lit)
+
+
+def dictionary_mask(op: str, dictionary: np.ndarray, lit, lit_left: bool = False):
+    """The predicate over the z dictionary values plus a False NULL slot
+    at index z, ready to gather through a block's codes."""
+    out = np.zeros(len(dictionary) + 1, dtype=bool)
+    out[:-1] = _apply(op, dictionary, lit, lit_left)
     return out
 
 
-def eval_block_vs_literal(op: str, block: Block, lit) -> np.ndarray:
-    """Boolean mask over a block. Dictionary-coded blocks evaluate the
-    predicate once per distinct value and gather through the codes."""
-    if block.dictionary is not None:
-        dict_mask = _apply_masked(op, block.dictionary, None, lit)
-        dict_mask = np.append(dict_mask, False)  # NULL slot
-        idx = block.data.astype(np.int64)
+def eval_block_vs_literal(
+    op: str,
+    block: Block,
+    lit,
+    memo: dict | None = None,
+    *,
+    lit_left: bool = False,
+) -> np.ndarray:
+    """Boolean mask of ``block OP lit`` (``lit OP block`` with
+    ``lit_left``); NULL rows are False.
+
+    Dictionary-coded blocks gather a :func:`dictionary_mask` through
+    their codes. ``memo`` — one dict per literal predicate, owned by the
+    compiled operator — keeps that mask per dictionary, so it is
+    computed on the first block only; pass it only when ``lit`` is the
+    same on every call.
+    """
+    if lit is None:
+        return np.zeros(len(block), dtype=bool)
+    d = block.dictionary
+    if d is not None:
+        entry = None if memo is None else memo.get(id(d))
+        if entry is None:
+            # The entry holds ``d`` itself so that its id stays unique.
+            entry = (d, dictionary_mask(op, d, lit, lit_left))
+            if memo is not None:
+                memo[id(d)] = entry
+        codes = block.data
         if block.nulls is not None:
-            idx = np.where(block.nulls, len(block.dictionary), idx)
-        return dict_mask[idx]
-    return _apply_masked(op, block.data, block.nulls, lit)
+            codes = np.where(block.nulls, len(d), codes)
+        return entry[1][codes]
+    if block.nulls is None:
+        return _apply(op, block.data, lit, lit_left)
+    out = np.zeros(len(block), dtype=bool)
+    nn = ~block.nulls
+    if nn.any():
+        out[nn] = _apply(op, block.data[nn], lit, lit_left)
+    return out
 
 
 def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
@@ -98,25 +147,11 @@ def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
         nn &= ~right.nulls
     out = np.zeros(n, dtype=bool)
     if nn.any():
-        if lv.dtype != object and rv.dtype != object and op in (
-            "=", "<>", "<", "<=", ">", ">=",
-        ):
-            out[nn] = _apply_pair(op, lv[nn], rv[nn])
+        if lv.dtype != object and rv.dtype != object and op in _COMPARE:
+            out[nn] = _COMPARE[op](lv[nn], rv[nn])
         else:
             out[nn] = np.array(
                 [scalar_op(op, a, b) for a, b in zip(lv[nn], rv[nn])],
                 dtype=bool,
             )
     return out
-
-
-def _apply_pair(op, a, b):
-    fn = {
-        "=": np.equal,
-        "<>": np.not_equal,
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-    }[op]
-    return fn(a, b)

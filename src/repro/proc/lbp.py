@@ -45,6 +45,9 @@ from repro.proc.plan import (
 )
 from repro.storage.graph_store import GraphStore
 
+#: ``a OP b`` ⇔ ``b _MIRROR[OP] a`` for the comparison operators.
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
 
 def compile_lbp(
     store: GraphStore,
@@ -201,17 +204,16 @@ def _fuse_count_tail(ops: list[Operator]):
     if not preds or i < 0 or not isinstance(ops[i], PhysListExtend):
         return None
     ext = ops[i]
-    _mirror = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
     norm = []
     for p in preds:
         if (
             p.var != ext.edge_var
             and p.rhs_var == ext.edge_var
-            and p.op in _mirror
+            and p.op in _MIRROR
         ):
             # a.x OP e.y  →  e.y mirror(OP) a.x, so the fused edge is lhs.
             p = Predicate(
-                p.rhs_var, p.rhs_prop, _mirror[p.op],
+                p.rhs_var, p.rhs_prop, _MIRROR[p.op],
                 rhs_var=p.var, rhs_prop=p.prop,
             )
         norm.append(p)

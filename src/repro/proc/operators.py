@@ -38,8 +38,6 @@ from repro.proc.expressions import (
 from repro.proc.plan import Predicate
 from repro.storage.graph_store import EdgeStore
 
-_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
 
 class Operator:
     def __init__(self) -> None:
@@ -244,6 +242,7 @@ class PhysExtendFilterCount(Operator):
         self.estore, self.direction, self.preds = estore, direction, preds
         self.csr = estore.csr(direction)
         self.count = 0
+        self.memos = [{} for _ in preds]  # dictionary masks, this query
 
     def consume(self, chunk: IntermediateChunk) -> None:
         g = chunk.group_of(self.src_var)
@@ -261,7 +260,7 @@ class PhysExtendFilterCount(Operator):
             return
         mask = np.ones(total, dtype=bool)
         prop_cache: dict[str, Block] = {}
-        for p in self.preds:
+        for p, memo in zip(self.preds, self.memos):
             prop = p.prop
             if prop not in prop_cache:
                 prop_cache[prop] = _eprop_block_multi(
@@ -270,7 +269,7 @@ class PhysExtendFilterCount(Operator):
                 )
             lblk = prop_cache[prop]
             if p.rhs_var is None:
-                mask &= eval_block_vs_literal(p.op, lblk, p.value)
+                mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
                 continue
             rkey = f"{p.rhs_var}.{p.rhs_prop}"
             rg = chunk.group_of(rkey)
@@ -458,6 +457,7 @@ class PhysBatchExtend(Operator):
         self.vprop_reads = vprop_reads
         self.preds = preds
         self.csr = estore.csr(direction)
+        self.memos = [{} for _ in preds]  # dictionary masks, this query
 
     def _operand(self, chunk, merged, key):
         if key in merged:
@@ -510,7 +510,7 @@ class PhysBatchExtend(Operator):
             )
         # Fused predicates, evaluated once over the whole batch.
         mask = None
-        for p in self.preds:
+        for p, memo in zip(self.preds, self.memos):
             lblk, lsc = self._operand(chunk, merged, f"{p.var}.{p.prop}")
             if p.rhs_var is None:
                 rblk, rsc = None, p.value
@@ -518,16 +518,17 @@ class PhysBatchExtend(Operator):
                 rblk, rsc = self._operand(
                     chunk, merged, f"{p.rhs_var}.{p.rhs_prop}"
                 )
+                memo = None  # a flat operand changes from call to call
             if lblk is not None and rblk is None:
                 if rsc is None:
                     return
-                m = eval_block_vs_literal(p.op, lblk, rsc)
+                m = eval_block_vs_literal(p.op, lblk, rsc, memo)
             elif lblk is not None and rblk is not None:
                 m = eval_block_vs_block(p.op, lblk, rblk)
             elif lblk is None and rblk is not None:
-                if p.op not in _MIRROR or lsc is None:
+                if lsc is None:
                     return
-                m = eval_block_vs_literal(_MIRROR[p.op], rblk, lsc)
+                m = eval_block_vs_literal(p.op, rblk, lsc, lit_left=True)
             else:
                 if not scalar_op(p.op, lsc, rsc):
                     return
@@ -562,6 +563,7 @@ class PhysFilter(Operator):
         self.rkey = (
             f"{pred.rhs_var}.{pred.rhs_prop}" if pred.rhs_var else None
         )
+        self.memo: dict = {}  # dictionary masks of the literal, this query
 
     def consume(self, chunk: IntermediateChunk) -> None:
         p = self.pred
@@ -586,21 +588,18 @@ class PhysFilter(Operator):
             mask = eval_block_vs_block(p.op, lblk, rval)
             self._emit_masked(chunk, lg, mask)
             return
-        if l_flat:  # literal/flat vs list: mirror the operator
-            rv_scalar = None
+        if l_flat:  # flat lhs vs list: the flat value is the literal
             lv = lblk.scalar(lg.cur_idx)
-            if p.op in _MIRROR:
-                mask = eval_block_vs_literal(_MIRROR[p.op], rval, lv)
-            else:  # contains/startswith/in with flat lhs is unsupported
-                raise NotImplementedError(f"flat {p.op} list")
             if lv is None:
-                mask = np.zeros(rg.size, dtype=bool)
+                return
+            mask = eval_block_vs_literal(p.op, rval, lv, lit_left=True)
             self._emit_masked(chunk, rg, mask)
             return
         rv = rval if rg is None else rval.scalar(rg.cur_idx)
         if rv is None:
             return
-        mask = eval_block_vs_literal(p.op, lblk, rv)
+        memo = self.memo if rg is None else None  # only a literal is fixed
+        mask = eval_block_vs_literal(p.op, lblk, rv, memo)
         self._emit_masked(chunk, lg, mask)
 
     def _emit_masked(self, chunk, g, mask) -> None:

@@ -10,7 +10,10 @@ elements of a compressed block, which restricts compression to
 - **Dictionary encoding**: map a categorical (string) property with ``z``
   distinct values to ``ceil(log2(z)/8)``-byte codes. Predicates are
   evaluated *on the dictionary* (z values) and mapped through the codes,
-  i.e. computation happens on compressed data.
+  i.e. computation happens on compressed data. The query engine
+  (:func:`repro.proc.expressions.eval_block_vs_literal`) computes that
+  dictionary mask once per operator per query and only gathers it
+  through the codes of each block.
 """
 from __future__ import annotations
 
@@ -50,8 +53,8 @@ class DictionaryColumn:
 
     ``codes[i]`` indexes into ``values``; NULLs are represented by the
     reserved code ``len(values)`` so that ``values`` can be extended with
-    a ``None`` sentinel for decoding. ``decode`` and predicate evaluation
-    over the dictionary are both O(z) + one vectorized gather.
+    a ``None`` sentinel for decoding. ``decode`` is O(z) + one vectorized
+    gather.
     """
 
     codes: np.ndarray  # leading-0-suppressed uint codes
@@ -80,17 +83,6 @@ class DictionaryColumn:
         """Return decoded value(s); NULLs decode to ``None``."""
         table = np.append(self.values, None)
         return table[self.codes[idx]]
-
-    def eval_on_dictionary(self, fn) -> np.ndarray:
-        """Vectorize a value-level boolean ``fn`` through the dictionary.
-
-        Returns a bool mask over the whole column; NULL rows are False.
-        This is the operate-on-compressed-data path: ``fn`` runs z times,
-        the per-row work is a single gather.
-        """
-        dict_mask = np.array([bool(fn(v)) for v in self.values], dtype=bool)
-        dict_mask = np.append(dict_mask, False)  # NULL code
-        return dict_mask[self.codes]
 
     def nbytes(self) -> int:
         """Bytes of codes plus the dictionary payload."""

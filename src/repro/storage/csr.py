@@ -64,7 +64,6 @@ class CSR:
         if edge_ids is not None:
             self.edge_ids = np.asarray(edge_ids, dtype=np.int64)[order]
         self.null_compress = null_compress
-        self._degrees = degrees
         if null_compress:
             nonempty = degrees > 0
             self.index = JacobsonIndex(nonempty)

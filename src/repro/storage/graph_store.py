@@ -25,7 +25,7 @@ from the Arrow-collected columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -290,8 +290,3 @@ class GraphStore:
             "bwd_adj": bwd,
             "total": vertex_props + edge_props + fwd + bwd,
         }
-
-
-def with_overrides(config: StorageConfig, **kw) -> StorageConfig:
-    """Convenience for benchmarks: a modified copy of a config."""
-    return replace(config, **kw)

@@ -73,12 +73,6 @@ class TestDictionaryColumn:
         dc = DictionaryColumn.encode(col)
         assert dc.codes.dtype == np.uint16
 
-    def test_eval_on_dictionary(self):
-        col = np.array(["apple", "pear", None, "apricot"], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        mask = dc.eval_on_dictionary(lambda v: v.startswith("ap"))
-        assert list(mask) == [True, False, False, True]  # NULL -> False
-
     def test_nbytes_counts_codes_and_dictionary(self):
         col = np.array(["aa", "bb", "aa"], dtype=object)
         dc = DictionaryColumn.encode(col)

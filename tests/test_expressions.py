@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.proc import expressions
 from repro.proc.chunk import Block
 from repro.proc.expressions import (
     eval_block_vs_block,
@@ -83,6 +84,91 @@ class TestBlockVsLiteral:
         assert list(eval_block_vs_literal("=", b, "cd")) == [
             False, True, False, False,
         ]
+
+
+# A raw (non-dictionary) string column with NULLs, non-ASCII values, an
+# empty string and values that contain or start with the literals.
+RAW = [
+    "Ångström", None, "naïve café", "", "東京タワー (Japan)", "(co-production)",
+    "café", None, "CAFÉ", "tower", "東京",
+]
+RAW_CASES = [
+    ("contains", "café"), ("contains", "(Japan)"), ("contains", ""),
+    ("contains", "x"), ("startswith", "東京"), ("startswith", "Å"),
+    ("startswith", ""), ("startswith", "café"), ("in", ["café", "東京"]),
+    ("in", ["Ångström", "", "nope"]), ("in", []),
+]
+
+
+def _raw_block():
+    return Block(np.array(RAW, dtype=object), np.array([v is None for v in RAW]))
+
+
+@pytest.mark.parametrize("op,lit", RAW_CASES)
+def test_raw_string_matches_scalar_op(op, lit):
+    got = eval_block_vs_literal(op, _raw_block(), lit)
+    assert got.dtype == bool
+    assert list(got) == [scalar_op(op, v, lit) for v in RAW]
+
+
+@pytest.mark.parametrize("op,lit", RAW_CASES[:8])
+def test_raw_string_literal_on_the_left_matches_scalar_op(op, lit):
+    got = eval_block_vs_literal(op, _raw_block(), lit, lit_left=True)
+    assert list(got) == [scalar_op(op, lit, v) for v in RAW]
+
+
+@pytest.mark.parametrize("op,lit", RAW_CASES)
+def test_dictionary_block_matches_raw_block(op, lit):
+    dictionary = np.array(sorted({v for v in RAW if v is not None}), dtype=object)
+    codes = np.array([
+        len(dictionary) if v is None else list(dictionary).index(v) for v in RAW
+    ], dtype=np.uint8)
+    blk = Block(codes, np.array([v is None for v in RAW]), dictionary)
+    assert list(eval_block_vs_literal(op, blk, lit)) == [
+        scalar_op(op, v, lit) for v in RAW
+    ]
+
+
+def test_raw_string_all_null_block():
+    b = Block(np.array(["a", "b"], dtype=object), np.array([True, True]))
+    assert not eval_block_vs_literal("contains", b, "a").any()
+
+
+class TestDictionaryMemo:
+    def _blocks(self):
+        d = np.array(["apple", "apricot", "pear"], dtype=object)
+        return [
+            Block(np.array([0, 1, 2], dtype=np.uint8), None, d),
+            Block(np.array([2, 3, 1], dtype=np.uint8),
+                  np.array([False, True, False]), d),
+        ]
+
+    def test_mask_computed_once_per_memo(self, monkeypatch):
+        calls = []
+        real = expressions.dictionary_mask
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(expressions, "dictionary_mask", counting)
+        memo: dict = {}
+        first, second = self._blocks()
+        assert list(
+            eval_block_vs_literal("startswith", first, "ap", memo)
+        ) == [True, True, False]
+        assert list(
+            eval_block_vs_literal("startswith", second, "ap", memo)
+        ) == [False, False, True]
+        assert len(calls) == 1
+        # Without a memo every block evaluates the dictionary again.
+        eval_block_vs_literal("startswith", first, "ap")
+        eval_block_vs_literal("startswith", second, "ap")
+        assert len(calls) == 3
+
+    def test_null_literal_is_false(self):
+        first, _ = self._blocks()
+        assert not eval_block_vs_literal("=", first, None).any()
 
 
 class TestBlockVsBlock:

@@ -1,11 +1,16 @@
 """Adapted JOB queries 1a–33a (Table 6c): oracle-checked on LBP; a
 sample on the Volcano baselines."""
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.bench.queries_job import JOB_QUERIES
 from repro.oracle import assert_equivalent
 from repro.util import pandas_to_spark
-from repro.proc.lbp import run_lbp_df
+from repro.proc import expressions, operators
+from repro.proc.lbp import run_lbp, run_lbp_df
+from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import to_sql
 from repro.proc.volcano import ColumnarAdapter, run_volcano_df
 
@@ -43,3 +48,56 @@ def test_star_joins_share_center():
         if q.name == "33a":
             continue
         assert all("t" in (e.src, e.dst) or e.src == "n" for e in q.edges), q.name
+
+
+def _job(name):
+    return next(q for q in JOB_QUERIES if q.name == name)
+
+
+def test_dictionary_mask_once_per_predicate_per_query(imdb_store, monkeypatch):
+    # 3a filters k.keyword CONTAINS and mi.info = on dictionary-coded
+    # columns; at block_size=64 each predicate sees several blocks but
+    # evaluates its dictionary once per query.
+    spec = _job("3a")
+    masks, blocks = Counter(), Counter()
+    real_mask = expressions.dictionary_mask
+    real_eval = operators.eval_block_vs_literal
+
+    def counting_mask(op, dictionary, lit, lit_left=False):
+        masks[op, lit] += 1
+        return real_mask(op, dictionary, lit, lit_left)
+
+    def counting_eval(op, block, lit, *args, **kwargs):
+        if block.dictionary is not None:
+            blocks[op, lit] += 1
+        return real_eval(op, block, lit, *args, **kwargs)
+
+    monkeypatch.setattr(expressions, "dictionary_mask", counting_mask)
+    monkeypatch.setattr(operators, "eval_block_vs_literal", counting_eval)
+    dict_preds = {("contains", "sequel"), ("=", "Sweden")}
+    for runs in (1, 2):
+        run_lbp(imdb_store, spec, block_size=64)
+        assert set(blocks) == dict_preds
+        assert all(n > 2 * runs for n in blocks.values())
+        assert masks == Counter({k: runs for k in dict_preds})
+
+
+def test_same_template_different_literals_match_oracle(spark, imdb, imdb_store):
+    # A dictionary mask must not outlive its query: the second run reuses
+    # the columns of the first with other literals.
+    spec = _job("3a")
+    year = spec.predicates[0]
+    counts = []
+    for keyword, info in (("sequel", "Sweden"), ("e", "Germany")):
+        s = dataclasses.replace(spec, predicates=[
+            year,
+            Pr("k", "keyword", "contains", keyword),
+            Pr("mi", "info", "=", info),
+        ])
+        got = run_lbp_df(imdb_store, s, block_size=64)
+        assert_equivalent(
+            pandas_to_spark(spark, got), to_sql(s, imdb.schema),
+            **imdb.sql_tables(),
+        )
+        counts.append(int(got["cnt"][0]))
+    assert counts[0] != counts[1]

@@ -16,6 +16,7 @@ from repro.proc.operators import (
     PhysVertexPropRead,
     concat_ranges,
 )
+from repro.proc.expressions import scalar_op
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
@@ -210,6 +211,47 @@ class TestFilterCombinations:
         assert self._run(
             build, Pr("a", "x", ">", None, rhs_var="b", rhs_prop="y")
         ) == 1
+
+    @staticmethod
+    def _flat_vs_list(lhs, rhs_block):
+        def build():
+            c = IntermediateChunk()
+            c.push_group(ListGroup(
+                {"a.x": Block(np.array([lhs], dtype=object),
+                              np.array([lhs is None]))}, 1, cur_idx=0))
+            c.push_group(ListGroup({"b.y": rhs_block}, len(rhs_block)))
+            return c
+        return build
+
+    def test_flat_null_lhs_vs_list_is_false(self):
+        build = self._flat_vs_list(None, Block(np.array([1, 8, 9])))
+        for op in (">", "=", "contains", "in"):
+            assert self._run(
+                build, Pr("a", "x", op, None, rhs_var="b", rhs_prop="y")
+            ) == 0
+
+    @pytest.mark.parametrize("op,lhs", [
+        ("contains", "(co-production) café"),
+        ("startswith", "café au lait"),
+        ("in", "é"),
+        (">=", "café"),
+    ])
+    def test_flat_lhs_string_ops_vs_list(self, op, lhs):
+        # a.x OP b.y with a.x flat: each row of b.y is tested as
+        # scalar_op(OP, a.x, b.y), on a raw and on a dictionary block.
+        vals = ["café", None, "(co-production)", "", "tea", "é"]
+        nulls = np.array([v is None for v in vals])
+        raw = Block(np.array(vals, dtype=object), nulls)
+        d = np.array(sorted(v for v in vals if v is not None), dtype=object)
+        codes = np.array(
+            [len(d) if v is None else list(d).index(v) for v in vals],
+            dtype=np.uint8,
+        )
+        expected = sum(scalar_op(op, lhs, v) for v in vals)
+        assert 0 < expected < len(vals)
+        pred = Pr("a", "x", op, None, rhs_var="b", rhs_prop="y")
+        for rhs in (raw, Block(codes, nulls, d)):
+            assert self._run(self._flat_vs_list(lhs, rhs), pred) == expected
 
     def test_list_list_same_group(self):
         def build():
