@@ -14,6 +14,11 @@ DESIGN.md):
 
 Every system's result is checked equal to DuckDB's before timing is
 reported, so Table 6 timings are also a correctness sweep.
+
+The three Volcano systems scan the same key range as GF-CL
+(:func:`repro.proc.lbp.scan_bounds` over the GF-CL store, whose vertex
+offsets are those of the shared :class:`GraphData`), so the table
+compares processors and storage, not scan strategies.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import duckdb
 import pandas as pd
 
 from repro.graphs.data import GraphData
-from repro.proc.lbp import run_lbp_df
+from repro.proc.lbp import run_lbp_df, scan_bounds
 from repro.proc.plan import QuerySpec, to_sql
 from repro.proc.volcano import ColumnarAdapter, run_volcano_df
 from repro.storage.graph_store import GraphStore, StorageConfig
@@ -44,7 +49,7 @@ class Table6Harness:
         self.data = data
         self.spark = spark
         self.store = GraphStore.build(data, StorageConfig.gf_cl(), spark=spark)
-        self.cl_adapter = None
+        self.cv = ColumnarAdapter(self.store)
         self.rv = RowStore(data)
         self.neo = LinkedStore(data)
         self.con = duckdb.connect()
@@ -78,14 +83,11 @@ class Table6Harness:
         sql = to_sql(spec, self.data.schema)
         if system == "GF-CL":
             return run_lbp_df(self.store, spec)
-        if system == "GF-RV":
-            return run_volcano_df(self.rv, spec)
-        if system == "NEO4J-SIM":
-            return run_volcano_df(self.neo, spec)
-        if system == "GF-CV":
-            if self.cl_adapter is None:
-                self.cl_adapter = ColumnarAdapter(self.store)
-            return run_volcano_df(self.cl_adapter, spec)
+        volcano = {"GF-RV": self.rv, "NEO4J-SIM": self.neo, "GF-CV": self.cv}
+        if system in volcano:
+            return run_volcano_df(
+                volcano[system], spec, scan_range=scan_bounds(self.store, spec)
+            )
         if system == "DUCKDB":
             return self.con.execute(sql).fetchdf()
         if system == "SPARKSQL":

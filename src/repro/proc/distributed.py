@@ -3,24 +3,32 @@
 The LBP pipeline is embarrassingly parallel over the initial Scan: each
 Spark partition runs the identical pipeline over a contiguous range of
 scan-vertex offsets against a broadcast :class:`GraphStore` (morsel-
-style parallelism). count(*) results are summed; projections come back
-as a Spark DataFrame assembled from the per-partition pandas frames.
+style parallelism). The ranges split the scan's key range
+(:func:`repro.proc.lbp.scan_bounds`), so a point query does not leave
+every partition but one with an empty scan. count(*) results are
+summed; projections come back as a Spark DataFrame assembled from the
+per-partition pandas frames.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.proc.lbp import run_lbp
-from repro.proc.plan import QuerySpec, compile_logical, ScanStep
+from repro.proc.lbp import run_lbp, scan_bounds
+from repro.proc.plan import QuerySpec
 from repro.storage.graph_store import GraphStore
 
 
-def scan_ranges(n: int, n_parts: int) -> list[tuple[int, int]]:
-    """Split [0, n) into ~equal contiguous ranges."""
-    n_parts = max(1, min(n_parts, n))
-    step = -(-n // n_parts)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def scan_ranges(
+    n: int, n_parts: int, *, lo: int = 0
+) -> list[tuple[int, int]]:
+    """Split [lo, n) into ~equal contiguous ranges; none when it is empty."""
+    size = n - lo
+    if size <= 0:
+        return []
+    n_parts = max(1, min(n_parts, size))
+    step = -(-size // n_parts)
+    return [(s, min(s + step, n)) for s in range(lo, n, step)]
 
 
 def run_distributed(
@@ -32,11 +40,12 @@ def run_distributed(
 ):
     """Run ``spec`` over Spark partitions; returns int (count(*)) or a
     Spark DataFrame (projections)."""
-    first = compile_logical(spec)[0]
-    assert isinstance(first, ScanStep)
-    n = store.n_vertices[first.label]
+    lo, hi = scan_bounds(store, spec)
     sc = spark.sparkContext
-    parts = scan_ranges(n, n_parts or sc.defaultParallelism)
+    n_parts = n_parts or sc.defaultParallelism
+    # An empty key range still runs one empty partition, so the result
+    # keeps its usual shape.
+    parts = scan_ranges(hi, n_parts, lo=lo) or [(lo, hi)]
     b_store = sc.broadcast(store)
     b_spec = sc.broadcast(spec)
 

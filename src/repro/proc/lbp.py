@@ -11,6 +11,9 @@ pipeline of physical operators over a :class:`GraphStore`:
 - A terminal extend followed only by count(*) is fused into
   :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend` so the
   last hop is aggregated directly from the factorized representation.
+- The scan covers only the offsets that the literal predicates right
+  after it can match on a sorted numeric column (:func:`scan_bounds`),
+  so ``p.id = X`` scans one vertex; those filters stay in the plan.
 
 ``run_lbp`` executes the pipeline single-threaded and returns an int
 (count) or a pandas DataFrame (projections). The Spark-parallel variant
@@ -18,6 +21,7 @@ lives in :mod:`repro.proc.distributed`.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from repro.proc.operators import (
@@ -47,6 +51,60 @@ from repro.storage.graph_store import GraphStore
 
 #: ``a OP b`` ⇔ ``b _MIRROR[OP] a`` for the comparison operators.
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
+#: Per op, the ``searchsorted`` sides of the first and of one past the
+#: last matching offset; None leaves that end of the range open.
+_KEY_SIDES = {
+    "=": ("left", "right"),
+    "<": (None, "left"),
+    "<=": (None, "right"),
+    ">": ("right", None),
+    ">=": ("left", None),
+}
+
+
+def scan_bounds(
+    store: GraphStore,
+    spec: QuerySpec,
+    scan_range: tuple[int, int] | None = None,
+    *,
+    steps: list | None = None,
+) -> tuple[int, int]:
+    """The ``[lo, hi)`` of scan offsets that ``spec`` can match.
+
+    Starts from ``scan_range`` (default: every vertex of the scanned
+    label) and narrows it by each literal ``=``, ``<``, ``<=``, ``>`` or
+    ``>=`` predicate that directly follows the scan, when its literal is
+    an int or float (not a bool) and its column is flagged
+    ``is_sorted``: offsets then order the values, so a binary search
+    gives the exact bounds. Other predicates and columns leave the range
+    as it is. The range only drops offsets the predicates reject, so the
+    plan keeps every filter.
+    """
+    steps = steps or compile_logical(spec)
+    scan = steps[0]
+    lo, hi = scan_range if scan_range else (0, store.n_vertices[scan.label])
+    for step in steps[1:]:
+        if not isinstance(step, FilterStep):
+            break
+        p = step.pred
+        if (
+            p.rhs_var is not None
+            or p.op not in _KEY_SIDES
+            or isinstance(p.value, bool)
+            or not isinstance(p.value, (int, float, np.integer, np.floating))
+        ):
+            continue
+        vcol = store.vprop_column(scan.label, p.prop)
+        if not vcol.is_sorted:
+            continue
+        first, last = _KEY_SIDES[p.op]
+        keys = vcol.col.values
+        if first is not None:
+            lo = max(lo, int(np.searchsorted(keys, p.value, first)))
+        if last is not None:
+            hi = min(hi, int(np.searchsorted(keys, p.value, last)))
+    return lo, max(lo, hi)
 
 
 def compile_lbp(
@@ -80,10 +138,12 @@ def compile_lbp(
 
     for step in steps:
         if isinstance(step, ScanStep):
-            n = store.n_vertices[step.label]
-            lo, hi = scan_range if scan_range else (0, n)
+            lo, hi = scan_bounds(store, spec, scan_range, steps=steps)
             ops.append(
-                PhysScan(step.var, n, block_size=block_size, lo=lo, hi=hi)
+                PhysScan(
+                    step.var, store.n_vertices[step.label],
+                    block_size=block_size, lo=lo, hi=hi,
+                )
             )
             bind_return_props(step.var)
         elif isinstance(step, ExtendStep):

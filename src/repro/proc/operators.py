@@ -7,7 +7,7 @@ chunk object flows through the whole pipeline with no copies except
 where the paper's design copies (ColumnExtend gathers, Filter
 compaction).
 
-- :class:`PhysScan` emits 1024-vertex blocks.
+- :class:`PhysScan` emits 1024-vertex blocks of its ``[lo, hi)`` range.
 - :class:`PhysListExtend` flattens its input group, and per input tuple
   emits a **new unflat group** whose neighbour/slot blocks are *views*
   over the CSR arrays (adjacency lists are not materialized). Edge
@@ -680,6 +680,8 @@ class CollectSink(Operator):
     Per-chunk output is kept as raw numpy arrays; the pandas frame is
     assembled once at :meth:`result` (a DataFrame per chunk would
     dominate runtime for selective queries emitting many small chunks).
+    The frame wraps the arrays ``np.concatenate`` has just made, without
+    copying them again: they alias no store array.
     """
 
     def __init__(self, keys: list[str], names: list[str]) -> None:
@@ -700,10 +702,7 @@ class CollectSink(Operator):
         data = {}
         for k, n in zip(self.keys, self.names):
             chunks = self.parts[k]
-            if not chunks:
-                data[n] = []
-                continue
             if any(c.dtype == object for c in chunks):
                 chunks = [c.astype(object) for c in chunks]
             data[n] = np.concatenate(chunks)
-        return pd.DataFrame(data)
+        return pd.DataFrame(data, copy=False)

@@ -13,6 +13,11 @@ Value kinds: ``numeric`` (int32/int64/float64), ``dict`` (categorical
 strings as fixed-width codes over a dictionary, §5.1), ``str`` (raw
 string payloads). NULLs / missing edges use the §5.3 scheme through
 :class:`NullableColumn` (``uncompressed`` / ``jacobson`` / ``vanilla``).
+
+A numeric column with no NULLs whose values never decrease in offset
+order (an ``id`` assigned in load order, say) is flagged ``is_sorted``
+at build time, so the scan can turn a literal range predicate on it into
+an offset range by binary search (:func:`repro.proc.lbp.scan_bounds`).
 """
 from __future__ import annotations
 
@@ -33,11 +38,16 @@ class VertexColumn:
         kind: str,
         col: NullableColumn,
         dictionary: np.ndarray | None = None,
+        *,
+        is_sorted: bool = False,
     ) -> None:
         self.kind = kind  # 'numeric' | 'dict' | 'str'
         self.col = col
         self.dictionary = dictionary
         self.n = col.n
+        # True only for a numeric column with no NULLs whose values are
+        # non-decreasing, so ``col.values`` is the whole column, sorted.
+        self.is_sorted = is_sorted
 
     # -- constructors ------------------------------------------------------
 
@@ -74,7 +84,11 @@ class VertexColumn:
         raw = series.to_numpy(dtype=object, copy=True)
         raw[~mask] = 0
         vals = raw.astype(np_dtype)
-        return cls("numeric", NullableColumn(vals, mask, mode=null_mode, c=c, m=m))
+        is_sorted = bool(mask.all() and (vals[1:] >= vals[:-1]).all())
+        return cls(
+            "numeric", NullableColumn(vals, mask, mode=null_mode, c=c, m=m),
+            is_sorted=is_sorted,
+        )
 
     @classmethod
     def from_offsets(

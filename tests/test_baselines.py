@@ -57,3 +57,23 @@ def test_duckdb_keeps_two_sorted_edge_copies(harness):
     n = harness.con.execute("SELECT COUNT(*) FROM e_knows").fetchone()[0]
     n2 = harness.con.execute("SELECT COUNT(*) FROM e_knows__bydst").fetchone()[0]
     assert n == n2 > 0
+
+
+def test_volcano_systems_scan_the_gf_cl_key_range(harness, monkeypatch):
+    from repro.bench import baselines
+
+    seen = []
+    real = baselines.run_volcano_df
+
+    def recording(adapter, spec, **kw):
+        seen.append(kw["scan_range"])
+        return real(adapter, spec, **kw)
+
+    monkeypatch.setattr(baselines, "run_volcano_df", recording)
+    spec = next(q for q in IS_QUERIES if q.name == "IS04")
+    pid = spec.predicates[0].value
+    for system in ("GF-RV", "NEO4J-SIM", "GF-CV"):
+        harness.run_one(system, spec)
+    assert seen == [(pid, pid + 1)] * 3
+    df = harness.run([spec], repeats=1, verify=True)  # still equal to DuckDB
+    assert df.loc["IS04", "rows"] == 1
