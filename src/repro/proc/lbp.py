@@ -5,7 +5,13 @@ pipeline of physical operators over a :class:`GraphStore`:
 
 - ExtendStep → :class:`PhysListExtend` (CSR side) or
   :class:`PhysColumnExtend` (vertex-column side), per Table 1 storage;
-  edge properties the query needs are materialized at the extend.
+  edge properties the query needs are materialized at the extend. Each
+  ListExtend is then fused with the property reads and filters after it
+  into a :class:`PhysBatchExtend`, or, at a count(*) tail, into a
+  :class:`PhysExtendFilterCount`.
+- ``block_size`` is the most tuples a list group may hold: the scan's
+  vertices per block and the fused extends' adjacency positions per
+  piece, so intermediates stay within it however many hops are expanded.
 - Vertex properties referenced by a filter or RETURN are gathered by a
   :class:`PhysVertexPropRead` inserted right before first use.
 - A terminal extend followed only by count(*) is fused into
@@ -25,6 +31,7 @@ import numpy as np
 import pandas as pd
 
 from repro.proc.operators import (
+    BLOCK_SIZE,
     CollectSink,
     CountSink,
     Operator,
@@ -112,7 +119,7 @@ def compile_lbp(
     spec: QuerySpec,
     *,
     scan_range: tuple[int, int] | None = None,
-    block_size: int = 1024,
+    block_size: int = BLOCK_SIZE,
 ) -> tuple[PhysScan, Operator]:
     steps = compile_logical(spec)
     ops: list[Operator] = []
@@ -176,7 +183,7 @@ def compile_lbp(
             raise TypeError(step)
 
     if spec.returns == "count":
-        sink = _fuse_count_tail(ops)
+        sink = _fuse_count_tail(ops, block_size)
         if sink is None:
             sink = CountSink()
             ops.append(sink)
@@ -189,13 +196,15 @@ def compile_lbp(
         sink = CollectSink(keys, names)
         ops.append(sink)
 
-    ops = _fuse_batch_extends(ops)
+    ops = _fuse_batch_extends(ops, block_size)
     for a, b in zip(ops, ops[1:]):
         a.next = b
     return ops[0], sink
 
 
-def _fuse_batch_extends(ops: list[Operator]) -> list[Operator]:
+def _fuse_batch_extends(
+    ops: list[Operator], block_size: int
+) -> list[Operator]:
     """Fuse each ListExtend with its adjacent out-var property reads and
     filters into a block-at-a-time :class:`PhysBatchExtend` (see its
     docstring for why this is the faithful vectorized form of LBP's
@@ -229,13 +238,14 @@ def _fuse_batch_extends(ops: list[Operator]) -> list[Operator]:
             PhysBatchExtend(
                 op.src_var, op.out_var, op.edge_var, op.estore,
                 op.direction, op.eprops, vreads, preds,
+                block_size=block_size,
             )
         )
         i = j
     return out
 
 
-def _fuse_count_tail(ops: list[Operator]):
+def _fuse_count_tail(ops: list[Operator], block_size: int):
     """Fuse a count(*) plan tail in place; returns the sink or None.
 
     Two fusions (paper §6.2, aggregation on the factorized form):
@@ -286,7 +296,8 @@ def _fuse_count_tail(ops: list[Operator]):
     if set(ext.eprops) - {p.prop for p in preds}:
         return None
     sink = PhysExtendFilterCount(
-        ext.src_var, ext.estore, ext.direction, ext.edge_var, preds
+        ext.src_var, ext.estore, ext.direction, ext.edge_var, preds,
+        block_size=block_size,
     )
     del ops[i:]
     ops.append(sink)
@@ -375,7 +386,7 @@ def run_lbp(
     spec: QuerySpec,
     *,
     scan_range: tuple[int, int] | None = None,
-    block_size: int = 1024,
+    block_size: int = BLOCK_SIZE,
 ):
     """Execute a spec; returns an int for count(*), else a DataFrame."""
     fast = _try_vectorized_count(store, spec, scan_range)

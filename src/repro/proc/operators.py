@@ -7,7 +7,13 @@ chunk object flows through the whole pipeline with no copies except
 where the paper's design copies (ColumnExtend gathers, Filter
 compaction).
 
-- :class:`PhysScan` emits 1024-vertex blocks of its ``[lo, hi)`` range.
+- ``block_size`` (default :data:`BLOCK_SIZE`, ``1 << 15``) is the most
+  tuples a list group may hold. :class:`PhysScan` emits
+  ``block_size``-vertex blocks of its ``[lo, hi)`` range, and the fused
+  extends :class:`PhysBatchExtend` / :class:`PhysExtendFilterCount` run
+  once per piece of at most ``block_size`` adjacency positions
+  (:func:`cut_ranges`), so intermediates stay bounded however many hops
+  a plan expands.
 - :class:`PhysListExtend` flattens its input group, and per input tuple
   emits a **new unflat group** whose neighbour/slot blocks are *views*
   over the CSR arrays (adjacency lists are not materialized). Edge
@@ -38,6 +44,10 @@ from repro.proc.expressions import (
 from repro.proc.plan import Predicate
 from repro.storage.graph_store import EdgeStore
 
+#: The most tuples a list group may hold: vertices per scan block, and
+#: adjacency positions per piece of an extend.
+BLOCK_SIZE = 1 << 15
+
 
 class Operator:
     def __init__(self) -> None:
@@ -51,7 +61,7 @@ class PhysScan(Operator):
     """Source: blocks of vertex offsets for one label."""
 
     def __init__(
-        self, var: str, n_vertices: int, *, block_size: int = 1024,
+        self, var: str, n_vertices: int, *, block_size: int = BLOCK_SIZE,
         lo: int = 0, hi: int | None = None,
     ) -> None:
         super().__init__()
@@ -136,9 +146,10 @@ def _eprop_block(
 
 
 def concat_ranges(
-    starts: np.ndarray, ends: np.ndarray
+    starts: np.ndarray, ends: np.ndarray, lens: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, tuple[int, int] | None, np.ndarray]:
-    """Concatenate [starts_i, ends_i) ranges.
+    """Concatenate [starts_i, ends_i) ranges (``lens``: ``ends - starts``
+    when the caller already has it).
 
     Returns ``(idx, contig, lens)``: when the non-empty ranges tile a
     single ascending run (the forward full-scan case), ``idx`` is None
@@ -146,7 +157,8 @@ def concat_ranges(
     this *is* the sequential-read fast path of forward property pages.
     Otherwise ``idx`` is the gather index array.
     """
-    lens = ends - starts
+    if lens is None:
+        lens = ends - starts
     total = int(lens.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), None, lens
@@ -157,6 +169,48 @@ def concat_ranges(
     out_start = np.concatenate(([0], np.cumsum(lens)[:-1]))
     base = np.repeat(starts - out_start, lens)
     return base + np.arange(total, dtype=np.int64), None, lens
+
+
+def cut_ranges(
+    starts: np.ndarray, ends: np.ndarray, budget: int, row0: int = 0
+):
+    """The concatenated ranges ``[starts_i, ends_i)`` cut into pieces of
+    at most ``budget`` positions, each as ``(rows, idx, contig, lens)``.
+
+    ``rows`` is the slice of input rows a piece covers, counted from
+    ``row0``; ``(idx, contig, lens)`` is :func:`concat_ranges` of those
+    rows' part of the ranges. Pieces end at the multiples of ``budget``
+    in the prefix sum of the lengths, so a list longer than the budget
+    is split: a piece clips the start of its first row and the end of
+    its last. Pieces of a contiguous run stay contiguous. When the total
+    fits the budget the result is one piece, made without a prefix sum;
+    when it is 0 there is no piece.
+    """
+    lens = ends - starts
+    total = int(lens.sum())
+    if total == 0:
+        return ()
+    if total <= budget:
+        rows = slice(row0, row0 + len(lens))
+        return ((rows, *concat_ranges(starts, ends, lens)),)
+    return _pieces(starts, ends, lens, total, budget, row0)
+
+
+def _pieces(starts, ends, lens, total, budget, row0):
+    cum = np.cumsum(lens)
+    los = np.arange(0, total, budget)
+    his = np.minimum(los + budget, total)
+    # First row ending after lo; first row reaching hi (it holds hi - 1).
+    firsts = np.searchsorted(cum, los, "right")
+    lasts = np.searchsorted(cum, his, "left")
+    for lo, hi, r0, r1 in zip(
+        los.tolist(), his.tolist(), firsts.tolist(), lasts.tolist()
+    ):
+        s = starts[r0:r1 + 1].copy()
+        e = ends[r0:r1 + 1].copy()
+        s[0] += lo - (cum[r0] - lens[r0])
+        e[-1] -= cum[r1] - hi
+        yield (slice(row0 + r0, row0 + r1 + 1), *concat_ranges(s, e))
 
 
 def _eprop_block_multi(
@@ -221,10 +275,11 @@ class PhysExtendFilterCount(Operator):
 
     When a plan ends with "extend the last edge, filter on its
     properties, count", LBP can evaluate the whole tail block-at-a-time:
-    read the property values of *all* adjacency lists of the input block
-    in one vectorized operation (a single sequential slice under forward
-    property pages), apply the predicates as one masked comparison, and
-    add ``prefix × mask.sum()`` to the count. This is the tight-loop
+    read the property values of the adjacency lists of the input block
+    in one vectorized operation per piece of at most ``block_size``
+    positions (a single sequential slice under forward property pages),
+    apply the predicates as one masked comparison, and add
+    ``prefix × mask.sum()`` to the count. This is the tight-loop
     behaviour of a block-based processor (§6) and the measurement
     instrument for Tables 3 and 5 FILTER rows.
     """
@@ -236,29 +291,30 @@ class PhysExtendFilterCount(Operator):
         direction: str,
         edge_var: str,
         preds: list[Predicate],
+        *,
+        block_size: int = BLOCK_SIZE,
     ) -> None:
         super().__init__()
         self.src_var, self.edge_var = src_var, edge_var
         self.estore, self.direction, self.preds = estore, direction, preds
+        self.block_size = block_size
         self.csr = estore.csr(direction)
         self.count = 0
         self.memos = [{} for _ in preds]  # dictionary masks, this query
 
     def consume(self, chunk: IntermediateChunk) -> None:
         g = chunk.group_of(self.src_var)
-        block = g.blocks[self.src_var]
+        row0 = max(g.cur_idx, 0)
+        srcs = g.blocks[self.src_var].data
         if g.is_flat:
-            srcs = block.data[g.cur_idx:g.cur_idx + 1].astype(np.int64)
-            per_src_rhs_flat = True
-        else:
-            srcs = block.data.astype(np.int64)
-            per_src_rhs_flat = False
+            srcs = srcs[row0:row0 + 1]
         starts, ends = self.csr.ranges_of(srcs)
-        idx, contig, lens = concat_ranges(starts, ends)
-        total = int(lens.sum())
-        if total == 0:
-            return
-        mask = np.ones(total, dtype=bool)
+        for piece in cut_ranges(starts, ends, self.block_size, row0):
+            self._count(chunk, g, *piece)
+
+    def _count(self, chunk, g, rows, idx, contig, lens) -> None:
+        srcs = g.blocks[self.src_var].data[rows]
+        mask = np.ones(int(lens.sum()), dtype=bool)
         prop_cache: dict[str, Block] = {}
         for p, memo in zip(self.preds, self.memos):
             prop = p.prop
@@ -280,12 +336,11 @@ class PhysExtendFilterCount(Operator):
                     return
                 mask &= eval_block_vs_literal(p.op, lblk, rv)
             else:
-                assert rg is g and not per_src_rhs_flat, (
-                    "fused rhs must live in the extend's input group"
-                )
+                assert rg is g, "fused rhs must live in the extend's input group"
                 rep = Block(
-                    np.repeat(rblk.data, lens),
-                    None if rblk.nulls is None else np.repeat(rblk.nulls, lens),
+                    np.repeat(rblk.data[rows], lens),
+                    None if rblk.nulls is None
+                    else np.repeat(rblk.nulls[rows], lens),
                     rblk.dictionary,
                 )
                 mask &= eval_block_vs_block(p.op, lblk, rep)
@@ -434,7 +489,9 @@ class PhysBatchExtend(Operator):
     list lengths (the data copy that flattening implies), concatenate the
     lists (a zero-copy view when contiguous), gather the edge/vertex
     properties the next operators need in one shot, and apply their
-    predicates as one mask. The chunk keeps its factorized structure
+    predicates as one mask. This runs once per piece of at most
+    ``block_size`` positions (:func:`cut_ranges`), and each piece replaces
+    the input group downstream. The chunk keeps its factorized structure
     (the merged group is an ordinary unflat group; sibling groups still
     multiply), so terminal factorized counting is unaffected.
     """
@@ -449,6 +506,8 @@ class PhysBatchExtend(Operator):
         eprops: list[str],
         vprop_reads: list[tuple[str, object]],  # (prop, vcol) of out_var
         preds: list[Predicate],
+        *,
+        block_size: int = BLOCK_SIZE,
     ) -> None:
         super().__init__()
         self.src_var, self.out_var, self.edge_var = src_var, out_var, edge_var
@@ -456,6 +515,7 @@ class PhysBatchExtend(Operator):
         self.eprops = eprops
         self.vprop_reads = vprop_reads
         self.preds = preds
+        self.block_size = block_size
         self.csr = estore.csr(direction)
         self.memos = [{} for _ in preds]  # dictionary masks, this query
 
@@ -472,16 +532,16 @@ class PhysBatchExtend(Operator):
     def consume(self, chunk: IntermediateChunk) -> None:
         gi = chunk.key_group[self.src_var]
         g = chunk.groups[gi]
+        row0 = max(g.cur_idx, 0)
+        srcs = g.blocks[self.src_var].data
         if g.is_flat:
-            rows = slice(g.cur_idx, g.cur_idx + 1)
-        else:
-            rows = slice(None)
+            srcs = srcs[row0:row0 + 1]
+        starts, ends = self.csr.ranges_of(srcs)
+        for piece in cut_ranges(starts, ends, self.block_size, row0):
+            self._extend(chunk, gi, g, *piece)
+
+    def _extend(self, chunk, gi, g, rows, idx, contig, lens) -> None:
         srcs = g.blocks[self.src_var].data[rows]
-        starts, ends = self.csr.ranges_of(np.asarray(srcs, dtype=np.int64))
-        idx, contig, lens = concat_ranges(starts, ends)
-        total = int(lens.sum())
-        if total == 0:
-            return
         merged: dict[str, Block] = {}
         for k, b in g.blocks.items():
             data = b.data[rows]
@@ -501,6 +561,7 @@ class PhysBatchExtend(Operator):
                 self.estore, prop, self.direction, srcs, lens, idx, contig,
                 self.csr,
             )
+        total = len(nbr)
         for prop, vcol in self.vprop_reads:
             vals, nulls = vcol.get_many(nbr)
             merged[f"{self.out_var}.{prop}"] = Block(

@@ -7,6 +7,7 @@ from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
     CollectSink,
     CountSink,
+    PhysBatchExtend,
     PhysCountColumnExtend,
     PhysCountListExtend,
     PhysExtendFilterCount,
@@ -15,6 +16,7 @@ from repro.proc.operators import (
     PhysScan,
     PhysVertexPropRead,
     concat_ranges,
+    cut_ranges,
 )
 from repro.proc.expressions import scalar_op
 from repro.proc.plan import Predicate as Pr
@@ -55,6 +57,152 @@ class TestConcatRanges:
     def test_all_empty(self):
         idx, contig, lens = concat_ranges(np.array([4, 4]), np.array([4, 4]))
         assert len(idx) == 0 and contig is None
+
+
+def _positions(idx, contig):
+    return np.arange(*contig) if contig is not None else idx
+
+
+class TestCutRanges:
+    """``cut_ranges`` splits the concatenated ranges at multiples of the
+    budget and gives each piece's rows and :func:`concat_ranges` output."""
+
+    @staticmethod
+    def _check(starts, ends, budget, row0=0):
+        """The pieces, after checking that they cover the concatenation in
+        order, each within the budget, with each position on its row."""
+        starts, ends = np.asarray(starts), np.asarray(ends)
+        pieces = list(cut_ranges(starts, ends, budget, row0))
+        want_idx, want_contig, want_lens = concat_ranges(starts, ends)
+        want_rows = np.repeat(np.arange(len(starts)) + row0, want_lens)
+        got, rows = [], []
+        for r, idx, contig, lens in pieces:
+            pos = _positions(idx, contig)
+            assert 0 < len(pos) <= budget
+            assert len(lens) == r.stop - r.start
+            assert lens.sum() == len(pos)
+            got.append(pos)
+            rows.append(np.repeat(np.arange(r.start, r.stop), lens))
+        if pieces:
+            np.testing.assert_array_equal(
+                np.concatenate(got), _positions(want_idx, want_contig)
+            )
+            np.testing.assert_array_equal(np.concatenate(rows), want_rows)
+        return pieces
+
+    @pytest.mark.parametrize("total,n_pieces", [(9, 1), (10, 1), (11, 2)])
+    def test_budget_boundary(self, total, n_pieces):
+        starts = np.array([100, 50, 0])
+        ends = starts + np.array([4, 5, total - 9])
+        pieces = self._check(starts, ends, 10)
+        assert len(pieces) == n_pieces
+        if n_pieces == 1:
+            # Within the budget: one piece over every row, no generator.
+            assert isinstance(cut_ranges(starts, ends, 10), tuple)
+            assert pieces[0][0] == slice(0, 3)
+
+    def test_empty_total_gives_no_piece(self):
+        assert cut_ranges(np.array([4, 4]), np.array([4, 4]), 3) == ()
+
+    def test_long_list_split_over_three_pieces(self):
+        pieces = self._check([20, 0, 7], [21, 7, 8], 3)
+        # positions 20 | 0 1 2 3 4 5 6 | 7, cut every 3
+        assert [list(_positions(i, c)) for _, i, c, _ in pieces] == [
+            [20, 0, 1], [2, 3, 4], [5, 6, 7],
+        ]
+        assert [(r.start, r.stop) for r, *_ in pieces] == [
+            (0, 2), (1, 2), (1, 3),
+        ]
+        assert [list(lens) for *_, lens in pieces] == [[1, 2], [3], [2, 1]]
+
+    def test_empty_lists_between_non_empty(self):
+        starts = np.array([10, 3, 3, 30, 5, 5, 40])
+        ends = np.array([12, 3, 3, 33, 5, 5, 41])
+        pieces = self._check(starts, ends, 2)
+        assert len(pieces) == 3
+        # No piece starts or ends on an empty list.
+        for r, _, _, lens in pieces:
+            assert lens[0] > 0 and lens[-1] > 0
+
+    def test_flat_group_rows_start_at_cur_idx(self):
+        # One flat tuple (row 4 of its group) whose list is 7 long.
+        pieces = self._check([100], [107], 3, row0=4)
+        assert [(r.start, r.stop) for r, *_ in pieces] == [(4, 5)] * 3
+        assert [c for _, _, c, _ in pieces] == [(100, 103), (103, 106), (106, 107)]
+
+    def test_contiguous_input_gives_contiguous_pieces(self):
+        starts = np.array([0, 3, 3, 10, 17])
+        ends = np.array([3, 3, 10, 17, 18])
+        pieces = self._check(starts, ends, 4)
+        assert all(idx is None and contig is not None for _, idx, contig, _ in pieces)
+        assert [c for _, _, c, _ in pieces] == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 18)]
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 64])
+    def test_random_ranges(self, budget):
+        rng = np.random.default_rng(budget)
+        lens = rng.integers(0, 9, 40) * (rng.random(40) < 0.7)
+        starts = rng.integers(0, 1000, 40)
+        self._check(starts, starts + lens, budget, row0=3)
+
+
+class TestBudgetedExtend:
+    """Both fused extends cut their input's adjacency lists into pieces
+    of at most ``block_size`` positions."""
+
+    @staticmethod
+    def _sizes_seen(op):
+        sizes = []
+
+        class Probe(CountSink):
+            def consume(self, chunk):
+                sizes.append([g.size for g in chunk.groups])
+                super().consume(chunk)
+
+        op.next = Probe()
+        return sizes, op.next
+
+    def test_batch_extend_on_flat_group(self, ldbc_store):
+        es = ldbc_store.edge("knows")
+        csr = es.csr("fwd")
+        deg = csr.degrees_of(np.arange(ldbc_store.n_vertices["Person"]))
+        v = int(np.argmax(deg))
+        assert deg[v] > 6
+        ext = PhysBatchExtend(
+            "a", "b", None, es, "fwd", [], [], [], block_size=3
+        )
+        sizes, sink = self._sizes_seen(ext)
+        chunk = IntermediateChunk()
+        chunk.push_group(ListGroup(
+            {"a": Block(np.array([0, 1, v], dtype=np.int64))}, 3, cur_idx=2
+        ))
+        ext.consume(chunk)
+        assert sink.count == deg[v]
+        assert max(s for (s,) in sizes) <= 3
+        assert len(sizes) == -(-int(deg[v]) // 3)
+
+    def test_filter_count_slices_rhs_to_piece_rows(self, ldbc_store):
+        # e2.date > a.x where a.x lives in the input group: each piece
+        # repeats only its own rows of a.x.
+        es = ldbc_store.edge("knows")
+        csr = es.csr("fwd")
+        dates, nulls, _ = es.eprops.read_fwd_range("date", 0, csr.n_edges)
+        srcs = np.arange(40, dtype=np.int64)
+        x = np.quantile(dates, np.linspace(0.05, 0.95, 40)).astype(np.int64)
+        pred = Pr("e", "date", ">", None, rhs_var="a", rhs_prop="x")
+        counts = []
+        for budget in (1, 3, 1 << 15):
+            op = PhysExtendFilterCount("a", es, "fwd", "e", [pred], block_size=budget)
+            chunk = IntermediateChunk()
+            chunk.push_group(ListGroup({"a": Block(srcs), "a.x": Block(x)}, 40))
+            op.consume(chunk)
+            counts.append(op.count)
+        assert nulls is None or not nulls.any()
+        starts, ends = csr.ranges_of(srcs)
+        want = sum(
+            int((dates[s:e] > xi).sum()) for s, e, xi in zip(starts, ends, x)
+        )
+        assert 0 < want < ends[-1] - starts[0]
+        assert counts == [want] * 3
 
 
 class TestFusion:
