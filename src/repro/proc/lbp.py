@@ -304,6 +304,33 @@ def _fuse_count_tail(ops: list[Operator], block_size: int):
     return sink
 
 
+#: float64 sums of integers are exact while they stay below 2^53.
+_FLOAT_EXACT = 2.0 ** 53
+#: A float64 estimate below this leaves an int64 sum far from overflow.
+_INT64_SAFE = 2.0 ** 62
+
+
+def _propagate(targets, weights: np.ndarray, n_out: int) -> np.ndarray:
+    """``out[t]`` = the sum of ``weights`` over the edges into ``t``.
+
+    A float64 ``bincount`` while the hop's weight total stays below 2^53,
+    where every partial sum is an integer float64 holds exactly; int64
+    beyond that, and Python ints once the total nears the int64 range.
+    The weights' total is also the output's, so the dtype is picked
+    before any sum could lose precision or wrap.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    total = float(weights.sum(dtype=np.float64))
+    if weights.dtype == np.float64:
+        if total < _FLOAT_EXACT:
+            return np.bincount(targets, weights=weights, minlength=n_out)
+        weights = weights.astype(np.int64)  # each weight is below 2^53
+    dtype = np.int64 if total < _INT64_SAFE else object
+    out = np.zeros(n_out, dtype=dtype)
+    np.add.at(out, targets, weights.astype(dtype))
+    return out
+
+
 def _try_vectorized_count(
     store: GraphStore,
     spec: QuerySpec,
@@ -316,10 +343,10 @@ def _try_vectorized_count(
     §6.2, computed level by level as a weighted degree propagation
     (``w_next[nbr] += w[v]`` over each adjacency list). This is why the
     paper's GF-CL COUNT(*) runtimes barely grow with the hop count
-    (Table 5). Returns None when the plan shape doesn't apply.
+    (Table 5). The count is exact up to the int64 range (see
+    :func:`_propagate`); a larger one raises ``OverflowError``. Returns
+    None when the plan shape doesn't apply.
     """
-    import numpy as np
-
     if spec.returns != "count" or spec.predicates:
         return None
     steps = compile_logical(spec)
@@ -351,11 +378,7 @@ def _try_vectorized_count(
                 per_edge = np.repeat(w[present], lens)
             else:
                 per_edge = np.repeat(w, np.diff(csr.offsets))
-            w = np.bincount(
-                np.asarray(csr.nbr, dtype=np.int64),
-                weights=per_edge,
-                minlength=n_out,
-            )
+            w = _propagate(csr.nbr, per_edge, n_out)
         else:
             # Vertex column: the whole-column scan reads values directly
             # (compacted values align with the set bits, in order).
@@ -371,14 +394,11 @@ def _try_vectorized_count(
             else:
                 present = col.index.unpack_all()
                 targets, weights = col.values, w[present]
-            w = np.bincount(
-                np.asarray(targets, dtype=np.int64),
-                weights=weights,
-                minlength=n_out,
-            )
-        if len(w) < n_out:
-            w = np.pad(w, (0, n_out - len(w)))
-    return int(round(w.sum()))
+            w = _propagate(targets, weights, n_out)
+    total = int(w.sum())
+    if total > np.iinfo(np.int64).max:
+        raise OverflowError(f"{spec.name}: {total} paths exceed int64")
+    return total
 
 
 def run_lbp(

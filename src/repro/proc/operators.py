@@ -28,6 +28,11 @@ compaction).
   sizes; the fused :class:`PhysCountListExtend` /
   :class:`PhysCountColumnExtend` implement the terminal
   extend-then-count(*) case without enumerating the last hop at all.
+- :class:`PhysExtendFilterCount` counts a terminal extend's filtered
+  lists. When all its predicates compare to literals, it switches, once
+  it has expanded as many positions as the CSR has edges, to a per-query
+  prefix sum of the predicate mask over the CSR: each later list costs
+  ``cum[end] - cum[start]``, with no property read or comparison.
 - :class:`CollectSink` flattens the Cartesian product for RETURN.
 """
 from __future__ import annotations
@@ -237,18 +242,20 @@ def _eprop_block_multi(
         else:
             vals, nulls, col = estore.eprops.read_fwd_positions(prop, idx)
     elif kind in ("pages", "edge_columns"):
-        slot_idx = (
-            csr.slots[contig[0]:contig[1]] if contig is not None
-            else csr.slots[idx]
-        )
-        if kind == "pages":
-            owners = (
-                csr.nbr[contig[0]:contig[1]] if contig is not None
-                else csr.nbr[idx]
+        pos = slice(*contig) if contig is not None else idx
+        if csr.slots is None:
+            # Old ID scheme: the 8-byte edge ID is the property address.
+            ids = csr.edge_ids[pos]
+            vals, nulls, col = (
+                estore.eprops.read_fwd_positions(prop, ids) if kind == "pages"
+                else estore.eprops.read_at(prop, None, ids)
             )
-            vals, nulls, col = estore.eprops.read_at(prop, owners, slot_idx)
+        elif kind == "pages":
+            vals, nulls, col = estore.eprops.read_at(
+                prop, csr.nbr[pos], csr.slots[pos]
+            )
         else:
-            vals, nulls, col = estore.eprops.read_at(prop, None, slot_idx)
+            vals, nulls, col = estore.eprops.read_at(prop, None, csr.slots[pos])
     elif kind in ("src_vcol", "dst_vcol"):
         input_side = "src" if direction == "fwd" else "dst"
         keyed_side = "src" if kind == "src_vcol" else "dst"
@@ -282,6 +289,17 @@ class PhysExtendFilterCount(Operator):
     ``prefix × mask.sum()`` to the count. This is the tight-loop
     behaviour of a block-based processor (§6) and the measurement
     instrument for Tables 3 and 5 FILTER rows.
+
+    When every predicate compares to a literal, the mask of an edge does
+    not depend on the tuple that reaches it, so only the *size* of each
+    filtered list matters (count(*) on the factorized form, §6.2). Once
+    the positions this operator has expanded in the query reach the
+    CSR's edge count, it evaluates the mask once over the whole CSR and
+    keeps its prefix sum ``cum``; from then on the filtered size of list
+    ``[s, e)`` is ``cum[e] - cum[s]``, with no property read, comparison
+    or range concatenation. The threshold bounds the extra work of the
+    one whole-CSR pass by what the operator has already read, so a
+    selective tail that touches few lists never pays for it.
     """
 
     def __init__(
@@ -301,6 +319,9 @@ class PhysExtendFilterCount(Operator):
         self.csr = estore.csr(direction)
         self.count = 0
         self.memos = [{} for _ in preds]  # dictionary masks, this query
+        self.literal_only = all(p.rhs_var is None for p in preds)
+        self.expanded = 0  # adjacency positions expanded, this query
+        self.cum: np.ndarray | None = None  # mask prefix sum, this query
 
     def consume(self, chunk: IntermediateChunk) -> None:
         g = chunk.group_of(self.src_var)
@@ -309,8 +330,40 @@ class PhysExtendFilterCount(Operator):
         if g.is_flat:
             srcs = srcs[row0:row0 + 1]
         starts, ends = self.csr.ranges_of(srcs)
+        if self.cum is None and self.literal_only:
+            self.expanded += int((ends - starts).sum())
+            if self.expanded >= self.csr.n_edges > 0:
+                self.cum = self._prefix_sum()
+        if self.cum is not None:
+            hits = int((self.cum[ends] - self.cum[starts]).sum())
+            self.count += _others_product(chunk, g) * hits
+            return
         for piece in cut_ranges(starts, ends, self.block_size, row0):
             self._count(chunk, g, *piece)
+
+    def _prefix_sum(self) -> np.ndarray:
+        """``cum[i]``: edges before CSR position ``i`` that pass every
+        (literal) predicate; the property is read over ``[0, E)`` at
+        once, a single slice under forward property pages."""
+        csr = self.csr
+        lens = np.diff(csr.offsets)
+        owners = (
+            np.flatnonzero(csr.index.unpack_all()) if csr.null_compress
+            else np.arange(csr.n_vertices)
+        )
+        mask = np.ones(csr.n_edges, dtype=bool)
+        prop_cache: dict[str, Block] = {}
+        for p, memo in zip(self.preds, self.memos):
+            if p.prop not in prop_cache:
+                prop_cache[p.prop] = _eprop_block_multi(
+                    self.estore, p.prop, self.direction, owners, lens, None,
+                    (0, csr.n_edges), csr,
+                )
+            lblk = prop_cache[p.prop]
+            mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
+        cum = np.zeros(csr.n_edges + 1, dtype=np.int64)
+        np.cumsum(mask, out=cum[1:])
+        return cum
 
     def _count(self, chunk, g, rows, idx, contig, lens) -> None:
         srcs = g.blocks[self.src_var].data[rows]

@@ -87,17 +87,18 @@ class CSR:
         return int(self.offsets[v]), int(self.offsets[v + 1])
 
     def ranges_of(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (starts, ends); empty lists give start == end."""
+        """Vectorized (starts, ends); empty lists give start == end.
+
+        Under null compression this is one Jacobson pass over every
+        vertex, present or not: the rank of a vertex with no list is the
+        index of the next non-empty list, and its presence bit, read from
+        the same word, zeroes both ends, so an empty list is exactly
+        ``(0, 0)``.
+        """
         vs = np.asarray(vs, dtype=np.int64)
         if self.null_compress:
-            present = self.index.is_set(vs)
-            starts = np.zeros(len(vs), dtype=np.int64)
-            ends = np.zeros(len(vs), dtype=np.int64)
-            if present.any():
-                r = self.index.rank(vs[present])
-                starts[present] = self.offsets[r]
-                ends[present] = self.offsets[r + 1]
-            return starts, ends
+            r, bit = self.index.rank(vs, with_bits=True)
+            return self.offsets[r] * bit, self.offsets[r + bit] * bit
         return self.offsets[vs], self.offsets[vs + 1]
 
     def degrees_of(self, vs: np.ndarray) -> np.ndarray:

@@ -209,7 +209,17 @@ class GraphStore:
         # Fig 6 decision tree: store positional offsets only for n-n labels
         # with properties, and only under the new ID scheme.
         store_slots = slots is not None and cfg.new_ids
-        edge_ids = None if cfg.new_ids else np.arange(n_e, dtype=np.int64)
+        # Under the old scheme the entry's 8-byte edge ID takes the slot's
+        # place, so it is the edge's property address: its page position
+        # under property pages, its column row under edge columns.
+        if cfg.new_ids:
+            edge_ids = None
+        elif eprop_kind == "pages":
+            edge_ids = eprops.page_starts[src // cfg.k] + slots
+        elif eprop_kind == "edge_columns":
+            edge_ids = slots
+        else:
+            edge_ids = np.arange(n_e, dtype=np.int64)
 
         def make_csr(n, owners, nbrs):
             return CSR(

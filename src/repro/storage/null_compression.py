@@ -95,6 +95,9 @@ class JacobsonIndex:
         ps_dtype = {8: np.uint8, 16: np.uint16, 24: np.uint32, 32: np.uint32}[m]
         self.prefix_sums = within.astype(ps_dtype)
         self._words_per_block = words_per_block
+        # c and 2^m / c are powers of two: word and block by shifting.
+        self._c_shift = c.bit_length() - 1
+        self._block_shift = words_per_block.bit_length() - 1
         self.total_set = int(csum[-1]) if n_words else 0
 
     def is_set(self, idx: np.ndarray) -> np.ndarray:
@@ -102,16 +105,25 @@ class JacobsonIndex:
         w = self.words[idx // self.c].astype(np.int64)
         return ((w >> (idx % self.c)) & 1).astype(bool)
 
-    def rank(self, idx: np.ndarray) -> np.ndarray:
-        """Number of set bits strictly before each position (vectorized)."""
+    def rank(self, idx: np.ndarray, *, with_bits: bool = False):
+        """Number of set bits strictly before each position (vectorized).
+
+        With ``with_bits``, returns ``(ranks, bits)``: ``bits`` is each
+        position's own bit (0 or 1, int64), taken from the word the rank
+        already read. The rank of an unset position is the rank of the
+        next set one, so one call serves set and unset positions alike.
+        """
         idx = np.asarray(idx, dtype=np.int64)
-        q = idx // self.c
-        base = self.block_base[q // self._words_per_block]
-        return (
-            base
-            + self.prefix_sums[q].astype(np.int64)
-            + popcount_map(self.c)[self.words[q], idx % self.c].astype(np.int64)
-        )
+        q = idx >> self._c_shift
+        b = idx & (self.c - 1)
+        w = self.words[q].astype(np.int64)
+        ranks = self.block_base[q >> self._block_shift]
+        ranks += self.prefix_sums[q]
+        # M[w, b] read from the flattened map: one index, no 2-D gather.
+        ranks += popcount_map(self.c).ravel()[(w << self._c_shift) | b]
+        if with_bits:
+            return ranks, (w >> b) & 1
+        return ranks
 
     def unpack_all(self) -> np.ndarray:
         """The full bit vector as a bool array (one vectorized unpack —

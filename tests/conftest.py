@@ -6,7 +6,13 @@ read-only for every test that uses them.
 """
 import pytest
 
-from repro.graphs.datasets import flickr_like, imdb_lite, ldbc_lite, wiki_like
+from repro.graphs.datasets import (
+    _konect_like,
+    flickr_like,
+    imdb_lite,
+    ldbc_lite,
+    wiki_like,
+)
 from repro.storage.graph_store import GraphStore, StorageConfig
 
 TEST_SF = 0.01
@@ -35,6 +41,18 @@ def wiki():
 @pytest.fixture(scope="session")
 def flickr():
     return flickr_like(sf=0.05)
+
+
+@pytest.fixture(scope="session")
+def tiny():
+    """A 40-node Zipf graph of average degree 3: 3-hop paths stay in the
+    thousands, so a budget of 1 runs in seconds."""
+    return _konect_like("tiny", n_nodes=40, avg_degree=3, seed=5, alpha=0.8)
+
+
+@pytest.fixture(scope="session")
+def tiny_store(tiny):
+    return GraphStore.build(tiny, StorageConfig.gf_cl())
 
 
 @pytest.fixture(scope="session")

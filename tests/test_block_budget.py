@@ -12,7 +12,7 @@ from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec
 from repro.bench.prop_pages import _dataset_params, khop_spec
 from repro.bench.queries_job import JOB_QUERIES
 from repro.bench.queries_ldbc import ALL_LDBC
-from repro.graphs.datasets import _konect_like, wiki_like
+from repro.graphs.datasets import wiki_like
 from repro.oracle import _canon
 from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import CollectSink, PhysExtendFilterCount
@@ -46,18 +46,6 @@ def _khop_specs():
 
 
 KHOP_SPECS = _khop_specs()
-
-
-@pytest.fixture(scope="module")
-def tiny():
-    """A 40-node Zipf graph of average degree 3: 3-hop paths stay in the
-    thousands, so a budget of 1 runs in seconds."""
-    return _konect_like("tiny", n_nodes=40, avg_degree=3, seed=5, alpha=0.8)
-
-
-@pytest.fixture(scope="module")
-def tiny_store(tiny):
-    return GraphStore.build(tiny, StorageConfig.gf_cl())
 
 
 def _recorded(store, spec, block_size):

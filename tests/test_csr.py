@@ -88,3 +88,37 @@ def test_nbytes_accounts_all_arrays():
     csr = CSR(5, OWNERS, NBRS, slots=SLOTS, zero_suppress=False)
     expected = csr.offsets.nbytes + csr.nbr.nbytes + csr.slots.nbytes
     assert csr.nbytes() == expected
+
+
+def test_null_compressed_ranges_of_at_scale():
+    # More than 2^16 vertices, so ranks cross a Jacobson block (m = 16).
+    # Empty lists fall at word edges (multiples of c = 16 and the bit
+    # before them), fill whole words, and are the first and last vertex.
+    n = (1 << 17) + 37
+    g = np.random.default_rng(11)
+    degrees = g.integers(1, 4, n)
+    degrees[g.random(n) < 0.5] = 0
+    degrees[::16][g.random(len(degrees[::16])) < 0.5] = 0
+    degrees[15::16][g.random(len(degrees[15::16])) < 0.5] = 0
+    degrees[64:96] = 0
+    degrees[(1 << 16) - 3:(1 << 16) + 3] = [0, 2, 0, 0, 1, 0]
+    degrees[0] = degrees[-1] = 0
+    owners = np.repeat(np.arange(n), degrees)
+    nbrs = g.integers(0, n, len(owners))
+    sparse = CSR(n, owners, nbrs, null_compress=True)
+    dense = CSR(n, owners, nbrs, null_compress=False)
+    vs = np.concatenate([np.arange(n), g.integers(0, n, 10_000)])
+    starts, ends = sparse.ranges_of(vs)
+    d_starts, d_ends = dense.ranges_of(vs)
+    empty = d_starts == d_ends
+    assert empty[[0, n - 1]].all()
+    assert (starts[empty] == 0).all() and (ends[empty] == 0).all()
+    assert (starts[~empty] == d_starts[~empty]).all()
+    assert (ends[~empty] == d_ends[~empty]).all()
+    picks = np.concatenate([
+        np.arange(0, 40), np.arange(60, 100),
+        np.arange((1 << 16) - 20, (1 << 16) + 20), np.arange(n - 40, n),
+        g.integers(0, n, 2_000),
+    ])
+    for v in picks:
+        assert (int(starts[v]), int(ends[v])) == sparse.range_of(int(v))

@@ -1,14 +1,18 @@
 """The two count-oriented fast paths: vectorized predicate-free path
 counts and block-at-a-time batched extends."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.graphs.data import GraphData
+from repro.graphs.schema import GraphSchema, PropSpec
 from repro.proc.lbp import _try_vectorized_count, compile_lbp, run_lbp
 from repro.proc.operators import PhysBatchExtend
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
 from repro.proc.volcano import ColumnarAdapter, run_volcano
+from repro.storage.graph_store import GraphStore, StorageConfig
 
 
 def _count_spec(hops, label="knows", vlabel="Person"):
@@ -71,6 +75,48 @@ class TestVectorizedCount:
             for lo in range(0, n, 13)
         ]
         assert sum(parts) == _try_vectorized_count(ldbc_store, spec, None)
+
+
+def _complete_digraph_store(n: int, config: StorageConfig) -> GraphStore:
+    """Every ordered pair of distinct vertices is an edge: a k-hop path
+    count is exactly n·(n-1)^k."""
+    sch = GraphSchema()
+    sch.add_vertex("node", PropSpec("id"))
+    sch.add_edge("link", "node", "node", "n-n")
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    data = GraphData(
+        sch,
+        {"node": pd.DataFrame({"_id": np.arange(n), "id": np.arange(n)})},
+        {"link": pd.DataFrame({"src": src, "dst": dst})},
+    )
+    data.validate()
+    return GraphStore.build(data, config)
+
+
+class TestExactVectorizedCount:
+    """Path counts past 2^53 stay exact up to the int64 range."""
+
+    @pytest.mark.parametrize("config", [StorageConfig(), StorageConfig.gf_cl()])
+    @pytest.mark.parametrize("n", [200, 220])
+    def test_seven_hops_exact(self, n, config):
+        # 200·199^7 ≈ 2.5e18 and 220·219^7 ≈ 5.3e18: both above 2^53,
+        # the second above 2^62 but still within int64.
+        store = _complete_digraph_store(n, config)
+        spec = _count_spec(7, label="link", vlabel="node")
+        want = n * (n - 1) ** 7
+        assert want <= np.iinfo(np.int64).max
+        assert run_lbp(store, spec) == want
+
+    def test_beyond_int64_raises(self):
+        store = _complete_digraph_store(200, StorageConfig.gf_cl())
+        spec = _count_spec(8, label="link", vlabel="node")  # ≈ 4.9e20
+        with pytest.raises(OverflowError):
+            run_lbp(store, spec)
+
+    def test_below_two_to_53_unchanged(self):
+        store = _complete_digraph_store(50, StorageConfig.gf_cl())
+        spec = _count_spec(4, label="link", vlabel="node")
+        assert run_lbp(store, spec) == 50 * 49 ** 4
 
 
 class TestBatchExtend:
