@@ -306,28 +306,23 @@ def _fuse_count_tail(ops: list[Operator], block_size: int):
 
 #: float64 sums of integers are exact while they stay below 2^53.
 _FLOAT_EXACT = 2.0 ** 53
-#: A float64 estimate below this leaves an int64 sum far from overflow.
-_INT64_SAFE = 2.0 ** 62
 
 
 def _propagate(targets, weights: np.ndarray, n_out: int) -> np.ndarray:
     """``out[t]`` = the sum of ``weights`` over the edges into ``t``.
 
     A float64 ``bincount`` while the hop's weight total stays below 2^53,
-    where every partial sum is an integer float64 holds exactly; int64
-    beyond that, and Python ints once the total nears the int64 range.
-    The weights' total is also the output's, so the dtype is picked
-    before any sum could lose precision or wrap.
+    where every partial sum is an integer float64 holds exactly; Python
+    ints beyond that. The weights' total is also the output's, so the
+    dtype is picked before any sum could lose precision.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    total = float(weights.sum(dtype=np.float64))
     if weights.dtype == np.float64:
-        if total < _FLOAT_EXACT:
+        if float(weights.sum()) < _FLOAT_EXACT:
             return np.bincount(targets, weights=weights, minlength=n_out)
         weights = weights.astype(np.int64)  # each weight is below 2^53
-    dtype = np.int64 if total < _INT64_SAFE else object
-    out = np.zeros(n_out, dtype=dtype)
-    np.add.at(out, targets, weights.astype(dtype))
+    out = np.zeros(n_out, dtype=object)
+    np.add.at(out, targets, weights.astype(object))
     return out
 
 

@@ -118,19 +118,17 @@ def _eprop_block(
     direction: str,
     owner: int,
     nbr_data: np.ndarray,
-    slot_view: np.ndarray | None,
+    csr,
     start: int,
     end: int,
 ) -> Block:
     """Materialize one edge property for the adjacency list of ``owner``."""
     kind = estore.eprop_kind
-    if kind == "pages":
-        if direction == "fwd":
-            vals, nulls, col = estore.eprops.read_fwd_range(prop, start, end)
-        else:
-            vals, nulls, col = estore.eprops.read_at(prop, nbr_data, slot_view)
-    elif kind == "edge_columns":
-        vals, nulls, col = estore.eprops.read_at(prop, nbr_data, slot_view)
+    if kind == "pages" and direction == "fwd":
+        vals, nulls, col = estore.eprops.read_fwd_range(prop, start, end)
+    elif kind in ("pages", "edge_columns"):
+        addr = estore.eprop_addr(csr, direction, slice(start, end))
+        vals, nulls, col = estore.eprops.read_at(prop, addr)
     elif kind in ("src_vcol", "dst_vcol"):
         input_side = "src" if direction == "fwd" else "dst"
         keyed_side = "src" if kind == "src_vcol" else "dst"
@@ -243,19 +241,8 @@ def _eprop_block_multi(
             vals, nulls, col = estore.eprops.read_fwd_positions(prop, idx)
     elif kind in ("pages", "edge_columns"):
         pos = slice(*contig) if contig is not None else idx
-        if csr.slots is None:
-            # Old ID scheme: the 8-byte edge ID is the property address.
-            ids = csr.edge_ids[pos]
-            vals, nulls, col = (
-                estore.eprops.read_fwd_positions(prop, ids) if kind == "pages"
-                else estore.eprops.read_at(prop, None, ids)
-            )
-        elif kind == "pages":
-            vals, nulls, col = estore.eprops.read_at(
-                prop, csr.nbr[pos], csr.slots[pos]
-            )
-        else:
-            vals, nulls, col = estore.eprops.read_at(prop, None, csr.slots[pos])
+        addr = estore.eprop_addr(csr, direction, pos)
+        vals, nulls, col = estore.eprops.read_at(prop, addr)
     elif kind in ("src_vcol", "dst_vcol"):
         input_side = "src" if direction == "fwd" else "dst"
         keyed_side = "src" if kind == "src_vcol" else "dst"
@@ -294,8 +281,9 @@ class PhysExtendFilterCount(Operator):
     not depend on the tuple that reaches it, so only the *size* of each
     filtered list matters (count(*) on the factorized form, §6.2). Once
     the positions this operator has expanded in the query reach the
-    CSR's edge count, it evaluates the mask once over the whole CSR and
-    keeps its prefix sum ``cum``; from then on the filtered size of list
+    CSR's edge count, it evaluates the mask once over the whole CSR, in
+    pieces of ``block_size`` positions, and keeps its prefix sum ``cum``
+    (8 bytes per edge); from then on the filtered size of list
     ``[s, e)`` is ``cum[e] - cum[s]``, with no property read, comparison
     or range concatenation. The threshold bounds the extra work of the
     one whole-CSR pass by what the operator has already read, so a
@@ -343,43 +331,53 @@ class PhysExtendFilterCount(Operator):
 
     def _prefix_sum(self) -> np.ndarray:
         """``cum[i]``: edges before CSR position ``i`` that pass every
-        (literal) predicate; the property is read over ``[0, E)`` at
-        once, a single slice under forward property pages."""
+        (literal) predicate. The mask is evaluated over the whole CSR in
+        pieces of ``block_size`` positions (forward page slices under
+        forward property pages), so only ``cum``, 8 bytes per edge,
+        outlives a piece."""
         csr = self.csr
-        lens = np.diff(csr.offsets)
         owners = (
             np.flatnonzero(csr.index.unpack_all()) if csr.null_compress
             else np.arange(csr.n_vertices)
         )
-        mask = np.ones(csr.n_edges, dtype=bool)
-        prop_cache: dict[str, Block] = {}
-        for p, memo in zip(self.preds, self.memos):
-            if p.prop not in prop_cache:
-                prop_cache[p.prop] = _eprop_block_multi(
-                    self.estore, p.prop, self.direction, owners, lens, None,
-                    (0, csr.n_edges), csr,
-                )
-            lblk = prop_cache[p.prop]
-            mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
-        cum = np.zeros(csr.n_edges + 1, dtype=np.int64)
-        np.cumsum(mask, out=cum[1:])
+        cum = np.empty(csr.n_edges + 1, dtype=np.int64)
+        cum[0] = 0
+        for rows, idx, contig, lens in cut_ranges(
+            csr.offsets[:-1], csr.offsets[1:], self.block_size
+        ):
+            mask = self._literal_mask({}, owners[rows], lens, idx, contig)
+            lo, hi = contig  # the lists tile [0, E)
+            np.cumsum(mask, out=cum[lo + 1:hi + 1])
+            cum[lo + 1:hi + 1] += cum[lo]
         return cum
+
+    def _read(self, blocks, prop, srcs, lens, idx, contig) -> Block:
+        """``prop`` over the given positions, read once per piece."""
+        if prop not in blocks:
+            blocks[prop] = _eprop_block_multi(
+                self.estore, prop, self.direction, srcs, lens, idx, contig,
+                self.csr,
+            )
+        return blocks[prop]
+
+    def _literal_mask(self, blocks, srcs, lens, idx, contig) -> np.ndarray:
+        """The positions passing every literal predicate; the properties
+        read go into ``blocks``."""
+        mask = np.ones(int(lens.sum()), dtype=bool)
+        for p, memo in zip(self.preds, self.memos):
+            if p.rhs_var is None:
+                lblk = self._read(blocks, p.prop, srcs, lens, idx, contig)
+                mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
+        return mask
 
     def _count(self, chunk, g, rows, idx, contig, lens) -> None:
         srcs = g.blocks[self.src_var].data[rows]
-        mask = np.ones(int(lens.sum()), dtype=bool)
-        prop_cache: dict[str, Block] = {}
-        for p, memo in zip(self.preds, self.memos):
-            prop = p.prop
-            if prop not in prop_cache:
-                prop_cache[prop] = _eprop_block_multi(
-                    self.estore, prop, self.direction, srcs, lens, idx,
-                    contig, self.csr,
-                )
-            lblk = prop_cache[prop]
+        blocks: dict[str, Block] = {}
+        mask = self._literal_mask(blocks, srcs, lens, idx, contig)
+        for p in self.preds:
             if p.rhs_var is None:
-                mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
                 continue
+            lblk = self._read(blocks, p.prop, srcs, lens, idx, contig)
             rkey = f"{p.rhs_var}.{p.rhs_prop}"
             rg = chunk.group_of(rkey)
             rblk = rg.blocks[rkey]
@@ -439,12 +437,9 @@ class PhysListExtend(Operator):
             return
         nbr = self.csr.nbr[start:end]
         blocks = {self.out_var: Block(nbr)}
-        slot_view = (
-            self.csr.slots[start:end] if self.csr.slots is not None else None
-        )
         for prop in self.eprops:
             blocks[f"{self.edge_var}.{prop}"] = _eprop_block(
-                self.estore, prop, self.direction, v, nbr, slot_view,
+                self.estore, prop, self.direction, v, nbr, self.csr,
                 start, end,
             )
         chunk.push_group(ListGroup(blocks, end - start))

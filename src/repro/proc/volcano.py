@@ -57,11 +57,8 @@ class ColumnarAdapter:
         start, end = csr.range_of(v)
         for i in range(start, end):
             nbr = int(csr.nbr[i])
-            if epk == "pages":
-                owner = v if direction == "fwd" else nbr
-                eref = (owner, int(csr.slots[i]))
-            elif epk == "edge_columns":
-                eref = int(csr.slots[i])
+            if epk in ("pages", "edge_columns"):
+                eref = (csr, direction, i)  # addressed when read
             elif epk == "src_vcol":
                 eref = v if direction == "fwd" else nbr
             elif epk == "dst_vcol":
@@ -75,11 +72,8 @@ class ColumnarAdapter:
 
     def eprop(self, edge_label: str, eref, prop: str):
         es = self.store.edge(edge_label)
-        if es.eprop_kind == "pages":
-            owner, slot = eref
-            return es.eprops.read_one(prop, owner, slot)
-        if es.eprop_kind == "edge_columns":
-            return es.eprops.read_one(prop, eref)
+        if es.eprop_kind in ("pages", "edge_columns"):
+            return es.eprops.read_one(prop, es.eprop_addr(*eref))
         return es.eprops[prop].get_one(eref)
 
 

@@ -47,11 +47,11 @@ class EdgeColumns:
         }
         return cls(columns, n), ids
 
-    def read_at(self, prop: str, owners: np.ndarray, slots: np.ndarray):
-        """Gather by global edge ID (``slots``); ``owners`` is ignored —
-        edge columns have no source-vertex component in their IDs."""
+    def read_at(self, prop: str, ids: np.ndarray):
+        """Gather by global edge ID: edge columns have no source-vertex
+        component in their IDs."""
         col = self.columns[prop]
-        vals, nulls = col.get_many(np.asarray(slots, dtype=np.int64))
+        vals, nulls = col.get_many(np.asarray(ids, dtype=np.int64))
         return vals, nulls, col
 
     def read_one(self, prop: str, edge_id: int):

@@ -105,6 +105,27 @@ class EdgeStore:
             raise TypeError(f"{self.label.name} {direction} is not a vcol")
         return s
 
+    def eprop_addr(self, csr: CSR, direction: str, pos):
+        """Where the properties of the ``csr`` entries at ``pos`` (a
+        position, a position array or a slice) live in ``eprops``: the
+        page position under property pages, the column row under edge
+        columns; read them with ``eprops.read_at`` / ``read_one``.
+
+        Under the old ID scheme the entry's 8-byte edge ID is the
+        address. Under the new one the entry's slot is, plus the base of
+        its source's page under property pages. Forward pages follow
+        forward CSR order, so there a position is its own address.
+        """
+        if csr.slots is None:
+            return csr.edge_ids[pos]
+        if self.eprop_kind == "edge_columns":
+            return csr.slots[pos]
+        if direction == "fwd":
+            if isinstance(pos, slice):
+                return np.arange(pos.start, pos.stop, dtype=np.int64)
+            return pos
+        return self.eprops.addr(csr.nbr[pos], csr.slots[pos])
+
     def storage_kind(self, direction: str) -> str:
         return self.fwd_kind if direction == "fwd" else self.bwd_kind
 
@@ -211,11 +232,12 @@ class GraphStore:
         store_slots = slots is not None and cfg.new_ids
         # Under the old scheme the entry's 8-byte edge ID takes the slot's
         # place, so it is the edge's property address: its page position
-        # under property pages, its column row under edge columns.
+        # under property pages, its column row under edge columns
+        # (read through EdgeStore.eprop_addr).
         if cfg.new_ids:
             edge_ids = None
         elif eprop_kind == "pages":
-            edge_ids = eprops.page_starts[src // cfg.k] + slots
+            edge_ids = eprops.addr(src, slots)
         elif eprop_kind == "edge_columns":
             edge_ids = slots
         else:

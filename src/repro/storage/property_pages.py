@@ -113,28 +113,26 @@ class PropertyPages:
         vals, nulls = col.get_many(np.asarray(idx, dtype=np.int64))
         return vals, nulls, col
 
-    def read_at(self, prop: str, owners: np.ndarray, slots: np.ndarray):
-        """Random-access read by (source vertex, page-level slot) — the
-        'opposite direction' path: two dependent array accesses."""
-        owners = np.asarray(owners)
+    def addr(self, owners, slots):
+        """Page positions of the edges ``(owners, slots)`` (arrays or
+        scalars): ``page_starts[owner // k] + slot``."""
         if self.k & (self.k - 1) == 0:  # power-of-two page size
             pages = owners >> (self.k.bit_length() - 1)
         else:
             pages = owners // self.k
-        addr = self.page_starts[pages] + slots
+        return self.page_starts[pages] + slots
+
+    def read_at(self, prop: str, addr: np.ndarray):
+        """Random-access read by page position (:meth:`addr`) — the
+        'opposite direction' path: two dependent array accesses."""
         col = self.columns[prop]
-        vals, nulls = col.get_many(addr)
+        vals, nulls = col.get_many(np.asarray(addr, dtype=np.int64))
         return vals, nulls, col
 
-    def read_one(self, prop: str, owner: int, slot: int):
-        """Scalar read by (source vertex, slot) — the Volcano path."""
-        if self.k & (self.k - 1) == 0:
-            page = owner >> (self.k.bit_length() - 1)
-        else:
-            page = owner // self.k
-        addr = int(self.page_starts[page]) + int(slot)
+    def read_one(self, prop: str, addr: int):
+        """Scalar read by page position — the Volcano path."""
         col = self.columns[prop]
-        v = col.col.get_one(addr)
+        v = col.col.get_one(int(addr))
         if v is None:
             return None
         if col.kind == "dict":

@@ -162,3 +162,26 @@ def test_path_memory_bounded_by_block_size():
     assert n3 > 40 * n2
     assert peak3 < 2 * peak2
     assert peak3 < 512 * block_size
+
+
+def test_prefix_sum_memory_bounded_by_edges(wiki):
+    # A literal FILTER tail keeps one int64 prefix sum per edge of its CSR
+    # and builds it in block_size pieces, so the peak stays near 8 bytes
+    # per edge plus the budget's share (a whole-CSR build held ~26 bytes
+    # per edge, its property block, nulls and mask at once).
+    elabel, vlabel, prop = _dataset_params(wiki)
+    store = GraphStore.build(wiki, StorageConfig.gf_cl())
+    n_edges = store.edge(elabel).csr("fwd").n_edges
+    block_size = 256
+    assert n_edges > 64 * block_size
+    spec = khop_filter_spec(elabel, vlabel, prop, 2)
+    scan, sink = compile_lbp(store, spec, block_size=block_size)
+    tracemalloc.start()
+    try:
+        scan.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.cum is not None
+    assert sink.count == run_lbp(store, spec)
+    assert peak < 8 * (n_edges + 1) + 512 * block_size

@@ -111,6 +111,60 @@ class TestEdgePropertyReads:
         assert col.get_one(1) == 3 and col.get_one(2) == 4
 
 
+def _random_nn(n=12, n_edges=60, seed=3):
+    rng = np.random.default_rng(seed)
+    sch = GraphSchema()
+    sch.add_vertex("A", PropSpec("x"))
+    sch.add_edge("nn", "A", "A", "n-n", PropSpec("p"))
+    vt = {"A": pd.DataFrame({"_id": range(n), "x": range(n)})}
+    src = rng.integers(0, n - 1, n_edges)  # vertex n - 1 has no out-list
+    dst = rng.integers(1, n, n_edges)  # vertex 0 has no in-list
+    et = {"nn": pd.DataFrame({"src": src, "dst": dst, "p": np.arange(n_edges)})}
+    data = GraphData(sch, vt, et)
+    data.validate()
+    return data
+
+
+ADDR_CONFIGS = [
+    *StorageConfig.ablation_steps(),
+    ("pages-k2-old", StorageConfig(new_ids=False, k=2)),
+    ("pages-k3-new", StorageConfig(k=3, null_compress=True)),
+    ("cols-old", StorageConfig(new_ids=False, edge_prop_storage="edge_columns")),
+    ("cols-new", StorageConfig(edge_prop_storage="edge_columns")),
+]
+
+
+class TestEdgePropertyAddress:
+    """``EdgeStore.eprop_addr`` locates every CSR entry's properties under
+    both ID schemes, both n-n property layouts and both directions."""
+
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    @pytest.mark.parametrize(
+        "cfg", [c for _, c in ADDR_CONFIGS], ids=[n for n, _ in ADDR_CONFIGS]
+    )
+    def test_lists_and_entries_resolve(self, cfg, direction):
+        data = _random_nn()
+        es = GraphStore.build(data, cfg).edge("nn")
+        csr = es.csr(direction)
+        et = data.etables["nn"]
+        own, other = ("src", "dst") if direction == "fwd" else ("dst", "src")
+        for v in range(12):
+            s, e = csr.range_of(v)
+            want = sorted(zip(et[et[own] == v][other], et[et[own] == v]["p"]))
+            vals, _, _ = es.eprops.read_at(
+                "p", es.eprop_addr(csr, direction, slice(s, e))
+            )
+            nbrs = csr.nbr[s:e].astype(int).tolist()
+            assert sorted(zip(nbrs, vals.astype(int).tolist())) == want
+            one = [
+                es.eprops.read_one("p", es.eprop_addr(csr, direction, i))
+                for i in range(s, e)
+            ]
+            assert sorted(zip(nbrs, one)) == want
+            arr = es.eprop_addr(csr, direction, np.arange(s, e))
+            assert list(arr) == list(es.eprop_addr(csr, direction, slice(s, e)))
+
+
 class TestMemoryReport:
     def test_components_positive_and_sum(self, store):
         rep = store.memory_report()

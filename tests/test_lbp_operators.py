@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.prop_pages import _dataset_params, khop_spec
 from repro.proc.chunk import Block, IntermediateChunk, ListGroup
 from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
@@ -22,6 +23,8 @@ from repro.proc.expressions import scalar_op
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
+from repro.proc.volcano import ColumnarAdapter, run_volcano
+from repro.storage.graph_store import GraphStore, StorageConfig
 
 
 def _ops(store, spec):
@@ -427,3 +430,43 @@ def test_scan_block_boundaries(ldbc_store):
     scan.next = Probe()
     scan.run()
     assert sizes == [1024, 1024, 452]
+
+
+#: Every ID scheme and n-n property layout (old IDs: no slots in the CSR).
+EPROP_CONFIGS = [
+    *StorageConfig.ablation_steps(),
+    ("cols-old", StorageConfig(new_ids=False, edge_prop_storage="edge_columns")),
+    ("cols-new", StorageConfig(edge_prop_storage="edge_columns")),
+]
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize(
+    "cfg", [c for _, c in EPROP_CONFIGS], ids=[n for n, _ in EPROP_CONFIGS]
+)
+class TestEdgePropReadersAgree:
+    """The per-list (PhysListExtend), batched (PhysBatchExtend /
+    PhysExtendFilterCount) and Volcano (GF-CV) edge-property readers find
+    the same properties under every configuration."""
+
+    def test_list_extend_emits_edge_properties(self, tiny, cfg, direction):
+        elabel, vlabel, prop = _dataset_params(tiny)
+        es = GraphStore.build(tiny, cfg).edge(elabel)
+        n = tiny.n_vertices(vlabel)
+        chunk = IntermediateChunk()
+        chunk.push_group(ListGroup({"a": Block(np.arange(n))}, n))
+        op = PhysListExtend("a", "b", "e", es, direction, [prop])
+        op.next = sink = CollectSink(["a", "b", f"e.{prop}"], ["a", "b", "p"])
+        op.consume(chunk)
+        got = sorted(sink.result().astype(int).itertuples(index=False, name=None))
+        et = tiny.etables[elabel]
+        own, other = ("src", "dst") if direction == "fwd" else ("dst", "src")
+        assert got == sorted(zip(et[own], et[other], et[prop]))
+
+    def test_khop_counts_match_gf_cl(self, tiny, tiny_store, cfg, direction):
+        elabel, vlabel, prop = _dataset_params(tiny)
+        store = GraphStore.build(tiny, cfg)
+        spec = khop_spec(elabel, vlabel, prop, 2, direction=direction)
+        want = run_lbp(tiny_store, spec)
+        assert run_lbp(store, spec) == want
+        assert run_volcano(ColumnarAdapter(store), spec) == want

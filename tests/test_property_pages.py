@@ -43,7 +43,8 @@ def test_backward_reads_via_owner_slot(k):
     bwd = CSR(10, et["dst"].to_numpy(), et["src"].to_numpy(), slots=slots)
     for v in range(10):
         s, e = bwd.range_of(v)
-        vals, nulls, _ = pages.read_at("w", bwd.nbr[s:e], bwd.slots[s:e])
+        addr = pages.addr(bwd.nbr[s:e], bwd.slots[s:e])
+        vals, nulls, _ = pages.read_at("w", addr)
         ref = et[et.dst == v]["w"].tolist()
         assert sorted(vals.astype(int)) == sorted(ref)
 
@@ -95,7 +96,7 @@ class TestEdgeColumns:
         rng = np.random.default_rng(5)
         et = _etable(rng)
         cols, ids = EdgeColumns.build(EDGE, et)
-        vals, nulls, _ = cols.read_at("w", None, ids)
+        vals, nulls, _ = cols.read_at("w", ids)
         assert (vals.astype(int) == et["w"].to_numpy()).all()
 
     def test_ids_are_randomized_permutation(self):
