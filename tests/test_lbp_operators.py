@@ -432,9 +432,12 @@ def test_scan_block_boundaries(ldbc_store):
     assert sizes == [1024, 1024, 452]
 
 
-#: Every ID scheme and n-n property layout (old IDs: no slots in the CSR).
+#: Every ID scheme and n-n property layout (old IDs: no slots in the CSR);
+#: k = 4 spreads the 40 sources over 10 pages.
 EPROP_CONFIGS = [
     *StorageConfig.ablation_steps(),
+    ("pages-k4-old", StorageConfig(new_ids=False, k=4)),
+    ("pages-k4-new", StorageConfig(k=4, null_compress=True)),
     ("cols-old", StorageConfig(new_ids=False, edge_prop_storage="edge_columns")),
     ("cols-new", StorageConfig(edge_prop_storage="edge_columns")),
 ]
