@@ -22,11 +22,10 @@ compares processors and storage, not scan strategies.
 """
 from __future__ import annotations
 
-import time
-
 import duckdb
 import pandas as pd
 
+from repro.bench.record import best_of
 from repro.graphs.data import GraphData
 from repro.proc.lbp import run_lbp_df, scan_bounds
 from repro.proc.plan import QuerySpec, to_sql
@@ -104,13 +103,9 @@ class Table6Harness:
                 expected = _canon(self.run_one("DUCKDB", spec))
             rec = {"query": spec.name}
             for system in self.systems():
-                best = None
-                res = None
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    res = self.run_one(system, spec)
-                    dt = time.perf_counter() - t0
-                    best = dt if best is None else min(best, dt)
+                best, res = best_of(
+                    repeats, lambda: self.run_one(system, spec)
+                )
                 if verify:
                     got = _canon(res)
                     assert got.equals(expected), (

@@ -12,8 +12,6 @@ Two workloads per dataset and hop count:
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
 from repro.graphs.data import GraphData
@@ -24,6 +22,7 @@ from repro.proc.plan import QuerySpec
 from repro.proc.volcano import ColumnarAdapter, run_volcano
 from repro.storage.graph_store import GraphStore, StorageConfig
 from repro.bench.prop_pages import PRED_DATE, _dataset_params
+from repro.bench.record import best_of
 
 
 def khop_filter_spec(elabel, vlabel, prop, hops) -> QuerySpec:
@@ -80,13 +79,7 @@ def table5(
                     ("GF-CV", lambda: run_volcano(adapter, spec)),
                     ("GF-CL", lambda: run_lbp(store, spec)),
                 ):
-                    best, cnt = None, None
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        cnt = runner()
-                        dt = time.perf_counter() - t0
-                        best = dt if best is None else min(best, dt)
-                    res[system] = (best, cnt)
+                    res[system] = best_of(repeats, runner)
                 assert res["GF-CV"][1] == res["GF-CL"][1], (
                     ds_name, workload, h, res,
                 )

@@ -4,14 +4,15 @@ k-hop path queries with edge-property predicates, run with a forward
 plan (properties read in forward adjacency-list order — sequential
 under PROP PAGES) and a backward plan (random reads under both
 configurations). PAGE_P = property pages (k = 128); COL_E = edge
-columns with randomized edge IDs.
+columns with randomized edge IDs. Each cell is timed through
+:func:`repro.proc.lbp.run_lbp`, so both configurations run the same
+plan and differ only in how the engine reads edge properties.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
+from repro.bench.record import best_of
 from repro.graphs.data import GraphData
 from repro.proc.lbp import run_lbp
 from repro.proc.plan import Predicate as Pr
@@ -63,66 +64,6 @@ def _dataset_params(data: GraphData):
     return "link", "node", "timestamp"
 
 
-def khop_read_kernel(
-    store: GraphStore, elabel: str, prop: str, hops: int, direction: str,
-    *, const: int = PRED_DATE,
-) -> int:
-    """Whole-graph vectorized execution of the Table 3 k-hop queries.
-
-    This is the measurement instrument for the storage comparison: both
-    configurations run the *identical* code; only the property reads
-    differ (sequential slice / run-structured position read for forward
-    property pages vs random gathers for edge columns and backward
-    reads). Counts are asserted equal to :func:`run_lbp` in tests.
-    """
-    import numpy as np
-
-    from repro.proc.operators import _eprop_block_multi, concat_ranges
-
-    assert hops in (1, 2)
-    es = store.edge(elabel)
-    csr = es.csr(direction)
-    cur_v = np.arange(csr.n_vertices, dtype=np.int64)
-    carried = None
-    for h in range(1, hops + 1):
-        starts, ends = csr.ranges_of(cur_v)
-        idx, contig, lens = concat_ranges(starts, ends)
-        nbr = (
-            csr.nbr[contig[0]:contig[1]] if contig is not None else csr.nbr[idx]
-        ).astype(np.int64)
-        blk = _eprop_block_multi(
-            es, prop, direction, cur_v, lens, idx, contig, csr
-        )
-        vals = blk.data
-        valid = (
-            np.ones(len(vals), dtype=bool) if blk.nulls is None else ~blk.nulls
-        )
-        last = h == hops
-        if direction == "fwd":
-            # e1 > const at hop 1; e_h > e_{h-1} afterwards.
-            mask = (vals > const) if h == 1 else (
-                vals > np.repeat(carried, lens)
-            )
-            mask &= valid
-            if last:
-                return int(mask.sum())
-            cur_v, carried = nbr[mask], vals[mask]
-        else:
-            # Backward plans bind the last edge first; all predicates
-            # become checkable only at the final hop.
-            if not last:
-                mask = valid
-                cur_v, carried = nbr[mask], vals[mask]
-                continue
-            if hops == 1:
-                mask = (vals > const) & valid
-            else:
-                mask = (vals > const) & (np.repeat(carried, lens) > vals)
-                mask &= valid
-            return int(mask.sum())
-    raise AssertionError("unreachable")
-
-
 def table3(
     datasets: dict[str, GraphData], *, spark=None, repeats: int = 1
 ) -> pd.DataFrame:
@@ -141,16 +82,10 @@ def table3(
         }
         for hops in (1, 2):
             for plan, direction in (("P_F", "fwd"), ("P_B", "bwd")):
+                spec = khop_spec(elabel, vlabel, prop, hops, direction=direction)
                 counts = {}
                 for cfg_name, store in stores.items():
-                    best = None
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        cnt = khop_read_kernel(
-                            store, elabel, prop, hops, direction
-                        )
-                        dt = time.perf_counter() - t0
-                        best = dt if best is None else min(best, dt)
+                    best, cnt = best_of(repeats, lambda: run_lbp(store, spec))
                     counts[cfg_name] = cnt
                     rows.append({
                         "dataset": ds_name, "plan": plan, "hops": f"{hops}H",

@@ -13,11 +13,10 @@ Table 8: bytes of the bit strings + prefix sums per (c, m) at ρ = 50%.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 
+from repro.bench.record import best_of
 from repro.graphs.data import GraphData
 from repro.graphs.datasets import ldbc_lite
 from repro.storage.null_compression import NullableColumn
@@ -31,6 +30,12 @@ def _likes_read_order(data: GraphData) -> np.ndarray:
     et = data.etables["likes"]
     order = np.argsort(et["src"].to_numpy(), kind="stable")
     return et["dst"].to_numpy(dtype=np.int64)[order]
+
+
+def _read_all(col, reads: np.ndarray, block: int) -> None:
+    """Gather ``reads`` through ``col``, ``block`` positions at a time."""
+    for lo in range(0, len(reads), block):
+        col.get_many(reads[lo:lo + block])
 
 
 def _column(values: np.ndarray, mask: np.ndarray, c: int, m: int, mode: str):
@@ -52,13 +57,7 @@ def table7(
         mask = g.random(n_comment) < rho / 100.0
         for c, m in CM_GRID:
             col = _column(values, mask, c, m, "jacobson")
-            best = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                for lo in range(0, len(reads), block):
-                    col.get_many(reads[lo:lo + block])
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
+            best, _ = best_of(repeats, lambda: _read_all(col, reads, block))
             rows.append({
                 "rho": rho, "c": c, "m": m, "ms": best * 1000.0,
             })
@@ -87,13 +86,10 @@ def table7_extremes(
         # Vanilla rank is O(n) per element: bound its sample to keep the
         # demonstration finite, then scale (documented; >20x is the claim).
         sample = reads if mode != "vanilla" else reads[: max(1, len(reads) // 50)]
-        best = None
-        for _ in range(repeats if mode != "vanilla" else 1):
-            t0 = time.perf_counter()
-            for lo in range(0, len(sample), block):
-                col.get_many(sample[lo:lo + block])
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
+        best, _ = best_of(
+            repeats if mode != "vanilla" else 1,
+            lambda: _read_all(col, sample, block),
+        )
         scale = len(reads) / len(sample)
         rows.append({"scheme": label, "ms": best * 1000.0 * scale,
                      "scaled": scale != 1.0})
@@ -138,11 +134,6 @@ def k_sweep(
             else StorageConfig(k=int(k))
         )
         store = GraphStore.build(data, cfg, spark=spark)
-        best = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run_lbp(store, spec)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
+        best, _ = best_of(repeats, lambda: run_lbp(store, spec))
         rows.append({"k": str(k), "seconds": best})
     return pd.DataFrame(rows)

@@ -7,10 +7,9 @@ reports the bytes used to store the replyOf edges per configuration.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
+from repro.bench.record import best_of
 from repro.graphs.data import GraphData
 from repro.proc.lbp import run_lbp
 from repro.proc.plan import QueryEdge as E
@@ -46,12 +45,7 @@ def table4(data: GraphData, *, spark=None, repeats: int = 1) -> pd.DataFrame:
         row = {"config": cfg_name, "mem_bytes": mem}
         for hops in (1, 2, 3):
             spec = reply_khop(hops)
-            best = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                cnt = run_lbp(store, spec)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
+            best, cnt = best_of(repeats, lambda: run_lbp(store, spec))
             row[f"{hops}-hop_s"] = best
             row[f"{hops}-hop_count"] = cnt
         rows.append(row)

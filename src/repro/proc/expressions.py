@@ -61,13 +61,11 @@ def scalar_op(op: str, left, right) -> bool:
     raise ValueError(f"unknown op {op!r}")
 
 
-def _match(op: str, vals: np.ndarray, lit, lit_left: bool) -> np.ndarray:
+def _match(op: str, vals: np.ndarray, lit) -> np.ndarray:
     """``contains`` / ``startswith`` / ``in`` over non-NULL values, one
     Python test per value, exactly as :func:`scalar_op` decides it."""
     xs = vals.tolist()
-    if lit_left:
-        hits = [scalar_op(op, lit, x) for x in xs]
-    elif op == "contains":
+    if op == "contains":
         s = str(lit)
         hits = [s in str(x) for x in xs]
     elif op == "startswith":
@@ -80,19 +78,19 @@ def _match(op: str, vals: np.ndarray, lit, lit_left: bool) -> np.ndarray:
     return np.array(hits, dtype=bool)
 
 
-def _apply(op: str, vals: np.ndarray, lit, lit_left: bool) -> np.ndarray:
-    """``vals OP lit`` (or ``lit OP vals``) over non-NULL values."""
+def _apply(op: str, vals: np.ndarray, lit) -> np.ndarray:
+    """``vals OP lit`` over non-NULL values."""
     fn = _COMPARE.get(op)
     if fn is None:
-        return _match(op, vals, lit, lit_left)
-    return fn(lit, vals) if lit_left else fn(vals, lit)
+        return _match(op, vals, lit)
+    return fn(vals, lit)
 
 
-def dictionary_mask(op: str, dictionary: np.ndarray, lit, lit_left: bool = False):
+def dictionary_mask(op: str, dictionary: np.ndarray, lit):
     """The predicate over the z dictionary values plus a False NULL slot
     at index z, ready to gather through a block's codes."""
     out = np.zeros(len(dictionary) + 1, dtype=bool)
-    out[:-1] = _apply(op, dictionary, lit, lit_left)
+    out[:-1] = _apply(op, dictionary, lit)
     return out
 
 
@@ -101,11 +99,8 @@ def eval_block_vs_literal(
     block: Block,
     lit,
     memo: dict | None = None,
-    *,
-    lit_left: bool = False,
 ) -> np.ndarray:
-    """Boolean mask of ``block OP lit`` (``lit OP block`` with
-    ``lit_left``); NULL rows are False.
+    """Boolean mask of ``block OP lit``; NULL rows are False.
 
     Dictionary-coded blocks gather a :func:`dictionary_mask` through
     their codes. ``memo`` — one dict per literal predicate, owned by the
@@ -120,7 +115,7 @@ def eval_block_vs_literal(
         entry = None if memo is None else memo.get(id(d))
         if entry is None:
             # The entry holds ``d`` itself so that its id stays unique.
-            entry = (d, dictionary_mask(op, d, lit, lit_left))
+            entry = (d, dictionary_mask(op, d, lit))
             if memo is not None:
                 memo[id(d)] = entry
         codes = block.data
@@ -128,16 +123,16 @@ def eval_block_vs_literal(
             codes = np.where(block.nulls, len(d), codes)
         return entry[1][codes]
     if block.nulls is None:
-        return _apply(op, block.data, lit, lit_left)
+        return _apply(op, block.data, lit)
     out = np.zeros(len(block), dtype=bool)
     nn = ~block.nulls
     if nn.any():
-        out[nn] = _apply(op, block.data[nn], lit, lit_left)
+        out[nn] = _apply(op, block.data[nn], lit)
     return out
 
 
 def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
-    """Both operands unflat in the same group (list/list case, §6.2)."""
+    """Both operands in the same group (list/list case, §6.2)."""
     lv, rv = left.decoded(), right.decoded()
     n = len(lv)
     nn = np.ones(n, dtype=bool)

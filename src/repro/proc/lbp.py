@@ -21,6 +21,11 @@ pipeline of physical operators over a :class:`GraphStore`:
   after it can match on a sorted numeric column (:func:`scan_bounds`),
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
 
+The pipeline passes one unflat list group at a time: each fused extend
+hands downstream a new group in place of its input, so factorization
+is kept only where a count never needs the tuples (the count tails'
+list lengths and prefix sums, and :func:`_try_vectorized_count`).
+
 ``run_lbp`` executes the pipeline single-threaded and returns an int
 (count) or a pandas DataFrame (projections). The Spark-parallel variant
 lives in :mod:`repro.proc.distributed`.
@@ -135,8 +140,8 @@ def compile_lbp(
 
     def bind_return_props(var: str) -> None:
         # RETURN properties are gathered as soon as the variable is
-        # bound: one vectorized gather per chunk instead of one per
-        # downstream emit (the blocks ride along through flattening).
+        # bound: one vectorized gather per group instead of one per
+        # downstream emit (the blocks ride along through every extend).
         if spec.returns == "count":
             return
         for v, prop in spec.returns:

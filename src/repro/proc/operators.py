@@ -1,11 +1,11 @@
 """LBP physical operators (paper §6.2).
 
-Push-based pipeline: each operator's ``consume(chunk)`` mutates the
-chunk (append a group / blocks, flatten, compact), calls
-``next.consume``, and restores the chunk before returning — so a single
-chunk object flows through the whole pipeline with no copies except
-where the paper's design copies (ColumnExtend gathers, Filter
-compaction).
+Push-based pipeline: each operator's ``consume(group)`` takes one
+unflat :class:`ListGroup` and hands the groups it derives to
+``next.consume``. A group is never mutated after it is handed on, so no
+operator restores state, and data is copied only where the paper's
+design copies (ColumnExtend gathers, Filter compaction, the expansion
+of input rows over their lists).
 
 - ``block_size`` (default :data:`BLOCK_SIZE`, ``1 << 15``) is the most
   tuples a list group may hold. :class:`PhysScan` emits
@@ -14,38 +14,35 @@ compaction).
   once per piece of at most ``block_size`` adjacency positions
   (:func:`cut_ranges`), so intermediates stay bounded however many hops
   a plan expands.
-- :class:`PhysListExtend` flattens its input group, and per input tuple
-  emits a **new unflat group** whose neighbour/slot blocks are *views*
-  over the CSR arrays (adjacency lists are not materialized). Edge
-  properties needed downstream are materialized here: a sequential
-  slice for forward property pages, a gather otherwise.
-- :class:`PhysColumnExtend` appends gathered blocks to the *same* group
+- :class:`PhysListExtend` is the unfused, per-list form of the extend:
+  per input row it emits a group of that row's blocks repeated over its
+  adjacency list, plus the list (a *view* over the CSR array) and its
+  edge properties. Compiled plans fuse it into one of the operators
+  below; it stays as the plan node fusion rewrites and as the per-list
+  reference reader.
+- :class:`PhysColumnExtend` adds gathered blocks to its input group's
   (1-1 / n-1 / 1-n edges stored in vertex columns), dropping tuples with
   no edge.
-- :class:`PhysFilter` evaluates flat/flat, list/flat and list/list
-  operand combinations and compacts the unflat group.
-- :class:`CountSink` counts factorized tuples as the product of group
-  sizes; the fused :class:`PhysCountListExtend` /
-  :class:`PhysCountColumnExtend` implement the terminal
-  extend-then-count(*) case without enumerating the last hop at all.
+- :class:`PhysFilter` evaluates list/literal and list/list predicates
+  and compacts the group.
+- :class:`CountSink` counts tuples; the fused
+  :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`
+  implement the terminal extend-then-count(*) case without enumerating
+  the last hop at all.
 - :class:`PhysExtendFilterCount` counts a terminal extend's filtered
   lists. When all its predicates compare to literals, it switches, once
   it has expanded as many positions as the CSR has edges, to a per-query
   prefix sum of the predicate mask over the CSR: each later list costs
   ``cum[end] - cum[start]``, with no property read or comparison.
-- :class:`CollectSink` flattens the Cartesian product for RETURN.
+- :class:`CollectSink` decodes the RETURN columns.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.proc.chunk import Block, IntermediateChunk, ListGroup
-from repro.proc.expressions import (
-    eval_block_vs_block,
-    eval_block_vs_literal,
-    scalar_op,
-)
+from repro.proc.chunk import Block, ListGroup
+from repro.proc.expressions import eval_block_vs_block, eval_block_vs_literal
 from repro.proc.plan import Predicate
 from repro.storage.graph_store import EdgeStore
 
@@ -58,7 +55,7 @@ class Operator:
     def __init__(self) -> None:
         self.next: Operator | None = None
 
-    def consume(self, chunk: IntermediateChunk) -> None:
+    def consume(self, group: ListGroup) -> None:
         raise NotImplementedError
 
 
@@ -78,14 +75,10 @@ class PhysScan(Operator):
     def run(self) -> None:
         for start in range(self.lo, self.hi, self.block_size):
             end = min(start + self.block_size, self.hi)
-            chunk = IntermediateChunk()
-            chunk.push_group(
-                ListGroup(
-                    {self.var: Block(np.arange(start, end, dtype=np.int64))},
-                    end - start,
-                )
-            )
-            self.next.consume(chunk)
+            self.next.consume(ListGroup(
+                {self.var: Block(np.arange(start, end, dtype=np.int64))},
+                end - start,
+            ))
 
 
 class PhysVertexPropRead(Operator):
@@ -96,56 +89,14 @@ class PhysVertexPropRead(Operator):
         self.var, self.prop, self.vcol = var, prop, vcol
         self.key = f"{var}.{prop}"
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.var)
-        ids = g.blocks[self.var].data
-        vals, nulls = self.vcol.get_many(ids)
+    def consume(self, group: ListGroup) -> None:
+        vals, nulls = self.vcol.get_many(group.blocks[self.var].data)
         blk = Block(
             vals,
             nulls if nulls.any() else None,
             self.vcol.dictionary if self.vcol.kind == "dict" else None,
         )
-        chunk.add_blocks(self.var, {self.key: blk})
-        try:
-            self.next.consume(chunk)
-        finally:
-            chunk.remove_blocks([self.key])
-
-
-def _eprop_block(
-    estore: EdgeStore,
-    prop: str,
-    direction: str,
-    owner: int,
-    nbr_data: np.ndarray,
-    csr,
-    start: int,
-    end: int,
-) -> Block:
-    """Materialize one edge property for the adjacency list of ``owner``."""
-    kind = estore.eprop_kind
-    if kind == "pages" and direction == "fwd":
-        vals, nulls, col = estore.eprops.read_fwd_range(prop, start, end)
-    elif kind in ("pages", "edge_columns"):
-        addr = estore.eprop_addr(csr, direction, slice(start, end))
-        vals, nulls, col = estore.eprops.read_at(prop, addr)
-    elif kind in ("src_vcol", "dst_vcol"):
-        input_side = "src" if direction == "fwd" else "dst"
-        keyed_side = "src" if kind == "src_vcol" else "dst"
-        keys = (
-            np.full(len(nbr_data), owner, dtype=np.int64)
-            if keyed_side == input_side
-            else nbr_data.astype(np.int64)
-        )
-        col = estore.eprops[prop]
-        vals, nulls = col.get_many(keys)
-    else:
-        raise TypeError(f"{estore.label.name} has no edge properties")
-    return Block(
-        vals,
-        nulls if nulls is not None and np.any(nulls) else None,
-        col.dictionary if col.kind == "dict" else None,
-    )
+        self.next.consume(ListGroup({**group.blocks, self.key: blk}, group.size))
 
 
 def concat_ranges(
@@ -174,32 +125,29 @@ def concat_ranges(
     return base + np.arange(total, dtype=np.int64), None, lens
 
 
-def cut_ranges(
-    starts: np.ndarray, ends: np.ndarray, budget: int, row0: int = 0
-):
+def cut_ranges(starts: np.ndarray, ends: np.ndarray, budget: int):
     """The concatenated ranges ``[starts_i, ends_i)`` cut into pieces of
     at most ``budget`` positions, each as ``(rows, idx, contig, lens)``.
 
-    ``rows`` is the slice of input rows a piece covers, counted from
-    ``row0``; ``(idx, contig, lens)`` is :func:`concat_ranges` of those
-    rows' part of the ranges. Pieces end at the multiples of ``budget``
-    in the prefix sum of the lengths, so a list longer than the budget
-    is split: a piece clips the start of its first row and the end of
-    its last. Pieces of a contiguous run stay contiguous. When the total
-    fits the budget the result is one piece, made without a prefix sum;
-    when it is 0 there is no piece.
+    ``rows`` is the slice of input rows a piece covers; ``(idx, contig,
+    lens)`` is :func:`concat_ranges` of those rows' part of the ranges.
+    Pieces end at the multiples of ``budget`` in the prefix sum of the
+    lengths, so a list longer than the budget is split: a piece clips
+    the start of its first row and the end of its last. Pieces of a
+    contiguous run stay contiguous. When the total fits the budget the
+    result is one piece, made without a prefix sum; when it is 0 there
+    is no piece.
     """
     lens = ends - starts
     total = int(lens.sum())
     if total == 0:
         return ()
     if total <= budget:
-        rows = slice(row0, row0 + len(lens))
-        return ((rows, *concat_ranges(starts, ends, lens)),)
-    return _pieces(starts, ends, lens, total, budget, row0)
+        return ((slice(0, len(lens)), *concat_ranges(starts, ends, lens)),)
+    return _pieces(starts, ends, lens, total, budget)
 
 
-def _pieces(starts, ends, lens, total, budget, row0):
+def _pieces(starts, ends, lens, total, budget):
     cum = np.cumsum(lens)
     los = np.arange(0, total, budget)
     his = np.minimum(los + budget, total)
@@ -213,7 +161,7 @@ def _pieces(starts, ends, lens, total, budget, row0):
         e = ends[r0:r1 + 1].copy()
         s[0] += lo - (cum[r0] - lens[r0])
         e[-1] -= cum[r1] - hi
-        yield (slice(row0 + r0, row0 + r1 + 1), *concat_ranges(s, e))
+        yield (slice(r0, r1 + 1), *concat_ranges(s, e))
 
 
 def _eprop_block_multi(
@@ -244,9 +192,7 @@ def _eprop_block_multi(
         addr = estore.eprop_addr(csr, direction, pos)
         vals, nulls, col = estore.eprops.read_at(prop, addr)
     elif kind in ("src_vcol", "dst_vcol"):
-        input_side = "src" if direction == "fwd" else "dst"
-        keyed_side = "src" if kind == "src_vcol" else "dst"
-        if keyed_side == input_side:
+        if estore.eprop_keyed_by_input(direction):
             keys = np.repeat(srcs, lens).astype(np.int64)
         else:
             keys = (
@@ -273,7 +219,7 @@ class PhysExtendFilterCount(Operator):
     in one vectorized operation per piece of at most ``block_size``
     positions (a single sequential slice under forward property pages),
     apply the predicates as one masked comparison, and add
-    ``prefix × mask.sum()`` to the count. This is the tight-loop
+    ``mask.sum()`` to the count. This is the tight-loop
     behaviour of a block-based processor (§6) and the measurement
     instrument for Tables 3 and 5 FILTER rows.
 
@@ -311,23 +257,17 @@ class PhysExtendFilterCount(Operator):
         self.expanded = 0  # adjacency positions expanded, this query
         self.cum: np.ndarray | None = None  # mask prefix sum, this query
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.src_var)
-        row0 = max(g.cur_idx, 0)
-        srcs = g.blocks[self.src_var].data
-        if g.is_flat:
-            srcs = srcs[row0:row0 + 1]
-        starts, ends = self.csr.ranges_of(srcs)
+    def consume(self, group: ListGroup) -> None:
+        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         if self.cum is None and self.literal_only:
             self.expanded += int((ends - starts).sum())
             if self.expanded >= self.csr.n_edges > 0:
                 self.cum = self._prefix_sum()
         if self.cum is not None:
-            hits = int((self.cum[ends] - self.cum[starts]).sum())
-            self.count += _others_product(chunk, g) * hits
+            self.count += int((self.cum[ends] - self.cum[starts]).sum())
             return
-        for piece in cut_ranges(starts, ends, self.block_size, row0):
-            self._count(chunk, g, *piece)
+        for piece in cut_ranges(starts, ends, self.block_size):
+            self._count(group, *piece)
 
     def _prefix_sum(self) -> np.ndarray:
         """``cum[i]``: edges before CSR position ``i`` that pass every
@@ -370,38 +310,34 @@ class PhysExtendFilterCount(Operator):
                 mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
         return mask
 
-    def _count(self, chunk, g, rows, idx, contig, lens) -> None:
-        srcs = g.blocks[self.src_var].data[rows]
+    def _count(self, group, rows, idx, contig, lens) -> None:
+        srcs = group.blocks[self.src_var].data[rows]
         blocks: dict[str, Block] = {}
         mask = self._literal_mask(blocks, srcs, lens, idx, contig)
         for p in self.preds:
             if p.rhs_var is None:
                 continue
             lblk = self._read(blocks, p.prop, srcs, lens, idx, contig)
-            rkey = f"{p.rhs_var}.{p.rhs_prop}"
-            rg = chunk.group_of(rkey)
-            rblk = rg.blocks[rkey]
-            if rg.is_flat:
-                rv = rblk.scalar(rg.cur_idx)
-                if rv is None:
-                    return
-                mask &= eval_block_vs_literal(p.op, lblk, rv)
-            else:
-                assert rg is g, "fused rhs must live in the extend's input group"
-                rep = Block(
-                    np.repeat(rblk.data[rows], lens),
-                    None if rblk.nulls is None
-                    else np.repeat(rblk.nulls[rows], lens),
-                    rblk.dictionary,
-                )
-                mask &= eval_block_vs_block(p.op, lblk, rep)
-        prefix = _others_product(chunk, g)
-        self.count += prefix * int(mask.sum())
+            rblk = group.blocks[f"{p.rhs_var}.{p.rhs_prop}"]
+            mask &= eval_block_vs_block(p.op, lblk, _expand(rblk, rows, lens))
+        self.count += int(mask.sum())
+
+
+def _expand(block: Block, rows, lens: np.ndarray) -> Block:
+    """``block``'s ``rows``, each repeated as often as its list is long."""
+    return Block(
+        np.repeat(block.data[rows], lens),
+        None if block.nulls is None else np.repeat(block.nulls[rows], lens),
+        block.dictionary,
+    )
 
 
 class PhysListExtend(Operator):
-    """Join over a CSR: flatten the input group, emit an unflat group of
-    adjacency-list views per input tuple (paper §6.2 ListExtend)."""
+    """Join over a CSR, one adjacency list at a time (paper §6.2
+    ListExtend): per input row, a group of that row's blocks repeated
+    over its list, plus the list (a view over the CSR) and its edge
+    properties. Compiled plans fuse it into :class:`PhysBatchExtend` or
+    a count tail."""
 
     def __init__(
         self,
@@ -417,41 +353,26 @@ class PhysListExtend(Operator):
         self.estore, self.direction, self.eprops = estore, direction, eprops
         self.csr = estore.csr(direction)
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.src_var)
-        block = g.blocks[self.src_var]
-        if g.is_flat:
-            self._emit(chunk, block, g.cur_idx)
-            return
-        try:
-            for i in range(g.size):
-                g.cur_idx = i
-                self._emit(chunk, block, i)
-        finally:
-            g.cur_idx = -1
-
-    def _emit(self, chunk: IntermediateChunk, block: Block, i: int) -> None:
-        v = int(block.data[i])
-        start, end = self.csr.range_of(v)
-        if start == end:
-            return
-        nbr = self.csr.nbr[start:end]
-        blocks = {self.out_var: Block(nbr)}
-        for prop in self.eprops:
-            blocks[f"{self.edge_var}.{prop}"] = _eprop_block(
-                self.estore, prop, self.direction, v, nbr, self.csr,
-                start, end,
-            )
-        chunk.push_group(ListGroup(blocks, end - start))
-        try:
-            self.next.consume(chunk)
-        finally:
-            chunk.pop_group()
+    def consume(self, group: ListGroup) -> None:
+        srcs = group.blocks[self.src_var].data
+        for i in range(group.size):
+            start, end = self.csr.range_of(int(srcs[i]))
+            if start == end:
+                continue
+            row, lens = slice(i, i + 1), np.array([end - start])
+            blocks = {k: _expand(b, row, lens) for k, b in group.blocks.items()}
+            blocks[self.out_var] = Block(self.csr.nbr[start:end])
+            for prop in self.eprops:
+                blocks[f"{self.edge_var}.{prop}"] = _eprop_block_multi(
+                    self.estore, prop, self.direction, srcs[row], lens,
+                    None, (start, end), self.csr,
+                )
+            self.next.consume(ListGroup(blocks, end - start))
 
 
 class PhysColumnExtend(Operator):
-    """Join over a vertex column (single-cardinality edge): append
-    same-length blocks into the input group (paper §6.2 ColumnExtend)."""
+    """Join over a vertex column (single-cardinality edge): add
+    same-length blocks to the input group (paper §6.2 ColumnExtend)."""
 
     def __init__(
         self,
@@ -470,15 +391,11 @@ class PhysColumnExtend(Operator):
     def _new_blocks(self, src_data: np.ndarray):
         vals, nulls = self.vcol.get_many(src_data.astype(np.int64))
         blocks = {self.out_var: Block(vals.astype(np.int64))}
+        keys = (
+            src_data if self.estore.eprop_keyed_by_input(self.direction)
+            else vals
+        ).astype(np.int64)
         for prop in self.eprops:
-            kind = self.estore.eprop_kind
-            input_side = "src" if self.direction == "fwd" else "dst"
-            keyed_side = "src" if kind == "src_vcol" else "dst"
-            keys = (
-                src_data.astype(np.int64)
-                if keyed_side == input_side
-                else vals.astype(np.int64)
-            )
             col = self.estore.eprops[prop]
             pv, pn = col.get_many(keys)
             pn = pn | nulls  # no edge -> property NULL
@@ -489,39 +406,14 @@ class PhysColumnExtend(Operator):
             )
         return blocks, nulls
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.src_var)
-        src = g.blocks[self.src_var]
-        blocks, nulls = self._new_blocks(src.data)
-        if g.is_flat:
-            if bool(nulls[g.cur_idx]):
-                return  # this tuple has no edge
-            chunk.add_blocks(self.src_var, blocks)
-            try:
-                self.next.consume(chunk)
-            finally:
-                chunk.remove_blocks(list(blocks))
-            return
+    def consume(self, group: ListGroup) -> None:
+        blocks, nulls = self._new_blocks(group.blocks[self.src_var].data)
+        out = ListGroup({**group.blocks, **blocks}, group.size)
         if nulls.any():
-            sel = ~nulls
-            if not sel.any():
+            out = out.take(~nulls)  # drop the tuples with no edge
+            if out.size == 0:
                 return
-            saved_blocks, saved_size = g.blocks, g.size
-            g.blocks = {k: b.take(sel) for k, b in g.blocks.items()}
-            g.size = int(sel.sum())
-            blocks = {k: b.take(sel) for k, b in blocks.items()}
-            chunk.add_blocks(self.src_var, blocks)
-            try:
-                self.next.consume(chunk)
-            finally:
-                chunk.remove_blocks(list(blocks))
-                g.blocks, g.size = saved_blocks, saved_size
-            return
-        chunk.add_blocks(self.src_var, blocks)
-        try:
-            self.next.consume(chunk)
-        finally:
-            chunk.remove_blocks(list(blocks))
+        self.next.consume(out)
 
 
 class PhysBatchExtend(Operator):
@@ -538,10 +430,8 @@ class PhysBatchExtend(Operator):
     lists (a zero-copy view when contiguous), gather the edge/vertex
     properties the next operators need in one shot, and apply their
     predicates as one mask. This runs once per piece of at most
-    ``block_size`` positions (:func:`cut_ranges`), and each piece replaces
-    the input group downstream. The chunk keeps its factorized structure
-    (the merged group is an ordinary unflat group; sibling groups still
-    multiply), so terminal factorized counting is unaffected.
+    ``block_size`` positions (:func:`cut_ranges`), and each piece is
+    handed downstream as a new group in place of the input group.
     """
 
     def __init__(
@@ -567,38 +457,14 @@ class PhysBatchExtend(Operator):
         self.csr = estore.csr(direction)
         self.memos = [{} for _ in preds]  # dictionary masks, this query
 
-    def _operand(self, chunk, merged, key):
-        if key in merged:
-            return merged[key], None
-        g = chunk.group_of(key)
-        if g.is_flat:
-            return None, g.blocks[key].scalar(g.cur_idx)
-        raise NotImplementedError(
-            f"batched filter operand {key} lives in another unflat group"
-        )
+    def consume(self, group: ListGroup) -> None:
+        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
+        for piece in cut_ranges(starts, ends, self.block_size):
+            self._extend(group, *piece)
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        gi = chunk.key_group[self.src_var]
-        g = chunk.groups[gi]
-        row0 = max(g.cur_idx, 0)
-        srcs = g.blocks[self.src_var].data
-        if g.is_flat:
-            srcs = srcs[row0:row0 + 1]
-        starts, ends = self.csr.ranges_of(srcs)
-        for piece in cut_ranges(starts, ends, self.block_size, row0):
-            self._extend(chunk, gi, g, *piece)
-
-    def _extend(self, chunk, gi, g, rows, idx, contig, lens) -> None:
-        srcs = g.blocks[self.src_var].data[rows]
-        merged: dict[str, Block] = {}
-        for k, b in g.blocks.items():
-            data = b.data[rows]
-            nulls = None if b.nulls is None else b.nulls[rows]
-            merged[k] = Block(
-                np.repeat(data, lens),
-                None if nulls is None else np.repeat(nulls, lens),
-                b.dictionary,
-            )
+    def _extend(self, group, rows, idx, contig, lens) -> None:
+        srcs = group.blocks[self.src_var].data[rows]
+        merged = {k: _expand(b, rows, lens) for k, b in group.blocks.items()}
         nbr = (
             self.csr.nbr[contig[0]:contig[1]] if contig is not None
             else self.csr.nbr[idx]
@@ -609,7 +475,6 @@ class PhysBatchExtend(Operator):
                 self.estore, prop, self.direction, srcs, lens, idx, contig,
                 self.csr,
             )
-        total = len(nbr)
         for prop, vcol in self.vprop_reads:
             vals, nulls = vcol.get_many(nbr)
             merged[f"{self.out_var}.{prop}"] = Block(
@@ -617,53 +482,27 @@ class PhysBatchExtend(Operator):
                 nulls if nulls.any() else None,
                 vcol.dictionary if vcol.kind == "dict" else None,
             )
+        out = ListGroup(merged, len(nbr))
         # Fused predicates, evaluated once over the whole batch.
         mask = None
         for p, memo in zip(self.preds, self.memos):
-            lblk, lsc = self._operand(chunk, merged, f"{p.var}.{p.prop}")
+            lblk = merged[f"{p.var}.{p.prop}"]
             if p.rhs_var is None:
-                rblk, rsc = None, p.value
+                m = eval_block_vs_literal(p.op, lblk, p.value, memo)
             else:
-                rblk, rsc = self._operand(
-                    chunk, merged, f"{p.rhs_var}.{p.rhs_prop}"
+                m = eval_block_vs_block(
+                    p.op, lblk, merged[f"{p.rhs_var}.{p.rhs_prop}"]
                 )
-                memo = None  # a flat operand changes from call to call
-            if lblk is not None and rblk is None:
-                if rsc is None:
-                    return
-                m = eval_block_vs_literal(p.op, lblk, rsc, memo)
-            elif lblk is not None and rblk is not None:
-                m = eval_block_vs_block(p.op, lblk, rblk)
-            elif lblk is None and rblk is not None:
-                if lsc is None:
-                    return
-                m = eval_block_vs_literal(p.op, rblk, lsc, lit_left=True)
-            else:
-                if not scalar_op(p.op, lsc, rsc):
-                    return
-                continue
             mask = m if mask is None else (mask & m)
         if mask is not None and not mask.all():
             if not mask.any():
                 return
-            merged = {k: b.take(mask) for k, b in merged.items()}
-            total = int(mask.sum())
-        new_group = ListGroup(merged, total)
-        saved_map = {k: chunk.key_group[k] for k in g.blocks}
-        chunk.groups[gi] = new_group
-        for k in merged:
-            chunk.key_group[k] = gi
-        try:
-            self.next.consume(chunk)
-        finally:
-            chunk.groups[gi] = g
-            for k in merged:
-                del chunk.key_group[k]
-            chunk.key_group.update(saved_map)
+            out = out.take(mask)
+        self.next.consume(out)
 
 
 class PhysFilter(Operator):
-    """Filter on flat/flat, list/flat or list/list operands (§6.2)."""
+    """Filter on list/literal or list/list operands (§6.2)."""
 
     def __init__(self, pred: Predicate) -> None:
         super().__init__()
@@ -674,75 +513,27 @@ class PhysFilter(Operator):
         )
         self.memo: dict = {}  # dictionary masks of the literal, this query
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        p = self.pred
-        lg = chunk.group_of(self.lkey)
-        lblk = lg.blocks[self.lkey]
+    def consume(self, group: ListGroup) -> None:
+        p, lblk = self.pred, group.blocks[self.lkey]
         if self.rkey is None:
-            rg, rval = None, p.value
+            mask = eval_block_vs_literal(p.op, lblk, p.value, self.memo)
         else:
-            rg = chunk.group_of(self.rkey)
-            rval = rg.blocks[self.rkey]
-
-        l_flat = lg.is_flat
-        r_flat = rg.is_flat if rg is not None else True
-        if l_flat and r_flat:
-            lv = lblk.scalar(lg.cur_idx)
-            rv = rval if rg is None else rval.scalar(rg.cur_idx)
-            if scalar_op(p.op, lv, rv):
-                self.next.consume(chunk)
-            return
-        if not l_flat and not r_flat:
-            assert lg is rg, "list/list filter requires one group"
-            mask = eval_block_vs_block(p.op, lblk, rval)
-            self._emit_masked(chunk, lg, mask)
-            return
-        if l_flat:  # flat lhs vs list: the flat value is the literal
-            lv = lblk.scalar(lg.cur_idx)
-            if lv is None:
-                return
-            mask = eval_block_vs_literal(p.op, rval, lv, lit_left=True)
-            self._emit_masked(chunk, rg, mask)
-            return
-        rv = rval if rg is None else rval.scalar(rg.cur_idx)
-        if rv is None:
-            return
-        memo = self.memo if rg is None else None  # only a literal is fixed
-        mask = eval_block_vs_literal(p.op, lblk, rv, memo)
-        self._emit_masked(chunk, lg, mask)
-
-    def _emit_masked(self, chunk, g, mask) -> None:
+            mask = eval_block_vs_block(p.op, lblk, group.blocks[self.rkey])
         if mask.all():
-            self.next.consume(chunk)
-            return
-        if not mask.any():
-            return
-        saved_blocks, saved_size = g.blocks, g.size
-        g.blocks = {k: b.take(mask) for k, b in g.blocks.items()}
-        g.size = int(mask.sum())
-        try:
-            self.next.consume(chunk)
-        finally:
-            g.blocks, g.size = saved_blocks, saved_size
+            self.next.consume(group)
+        elif mask.any():
+            self.next.consume(group.take(mask))
 
 
 class CountSink(Operator):
-    """count(*) on the factorized form: product of group sizes."""
+    """count(*): the sum of the sizes of the groups it receives."""
 
     def __init__(self) -> None:
         super().__init__()
         self.count = 0
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        self.count += chunk.tuple_count()
-
-
-def _others_product(chunk: IntermediateChunk, g: ListGroup) -> int:
-    n = 1
-    for og in chunk.groups:
-        if og is not g:
-            n *= og.tuple_count
-    return n
+    def consume(self, group: ListGroup) -> None:
+        self.count += group.size
 
 
 class PhysCountListExtend(Operator):
@@ -756,13 +547,9 @@ class PhysCountListExtend(Operator):
         self.csr = estore.csr(direction)
         self.count = 0
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.src_var)
-        degs = self.csr.degrees_of(g.blocks[self.src_var].data.astype(np.int64))
-        if g.is_flat:
-            self.count += _others_product(chunk, g) * int(degs[g.cur_idx])
-        else:
-            self.count += _others_product(chunk, g) * int(degs.sum())
+    def consume(self, group: ListGroup) -> None:
+        srcs = group.blocks[self.src_var].data.astype(np.int64)
+        self.count += int(self.csr.degrees_of(srcs).sum())
 
 
 class PhysCountColumnExtend(Operator):
@@ -774,21 +561,18 @@ class PhysCountColumnExtend(Operator):
         self.vcol = estore.nbr_vcol(direction)
         self.count = 0
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        g = chunk.group_of(self.src_var)
-        _, nulls = self.vcol.get_many(g.blocks[self.src_var].data.astype(np.int64))
-        if g.is_flat:
-            self.count += _others_product(chunk, g) * int(not nulls[g.cur_idx])
-        else:
-            self.count += _others_product(chunk, g) * int((~nulls).sum())
+    def consume(self, group: ListGroup) -> None:
+        srcs = group.blocks[self.src_var].data.astype(np.int64)
+        _, nulls = self.vcol.get_many(srcs)
+        self.count += int((~nulls).sum())
 
 
 class CollectSink(Operator):
-    """Flatten the factorized tuples and collect RETURN columns.
+    """Collect the decoded RETURN columns of every group.
 
-    Per-chunk output is kept as raw numpy arrays; the pandas frame is
-    assembled once at :meth:`result` (a DataFrame per chunk would
-    dominate runtime for selective queries emitting many small chunks).
+    Per-group output is kept as raw numpy arrays; the pandas frame is
+    assembled once at :meth:`result` (a DataFrame per group would
+    dominate runtime for selective queries emitting many small groups).
     The frame wraps the arrays ``np.concatenate`` has just made, without
     copying them again: they alias no store array.
     """
@@ -798,12 +582,11 @@ class CollectSink(Operator):
         self.keys, self.names = keys, names
         self.parts: dict[str, list[np.ndarray]] = {k: [] for k in keys}
 
-    def consume(self, chunk: IntermediateChunk) -> None:
-        if chunk.tuple_count() == 0:
+    def consume(self, group: ListGroup) -> None:
+        if group.size == 0:
             return
-        cols = chunk.flatten_columns(self.keys)
         for k in self.keys:
-            self.parts[k].append(cols[k])
+            self.parts[k].append(group.blocks[k].decoded())
 
     def result(self) -> pd.DataFrame:
         if not self.keys or not self.parts[self.keys[0]]:

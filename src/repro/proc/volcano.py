@@ -39,30 +39,26 @@ class ColumnarAdapter:
 
     def adj_iter(self, edge_label: str, v: int, direction: str):
         es = self.store.edge(edge_label)
-        kind = es.storage_kind(direction)
-        epk = es.eprop_kind
-        if kind == "vcol":
+        single = es.eprop_kind in ("src_vcol", "dst_vcol")
+        by_input = single and es.eprop_keyed_by_input(direction)
+        if es.storage_kind(direction) == "vcol":
             nbr = es.nbr_vcol(direction).get_one(v)
             if nbr is None:
                 return
-            if epk == "src_vcol":
-                eref = v if direction == "fwd" else int(nbr)
-            elif epk == "dst_vcol":
-                eref = int(nbr) if direction == "fwd" else v
-            else:
-                eref = None
-            yield int(nbr), eref
+            nbr = int(nbr)
+            eref = None
+            if single:
+                eref = v if by_input else nbr
+            yield nbr, eref
             return
         csr = es.csr(direction)
         start, end = csr.range_of(v)
         for i in range(start, end):
             nbr = int(csr.nbr[i])
-            if epk in ("pages", "edge_columns"):
+            if single:
+                eref = v if by_input else nbr
+            elif es.eprop_kind is not None:
                 eref = (csr, direction, i)  # addressed when read
-            elif epk == "src_vcol":
-                eref = v if direction == "fwd" else nbr
-            elif epk == "dst_vcol":
-                eref = nbr if direction == "fwd" else v
             else:
                 eref = None
             yield nbr, eref

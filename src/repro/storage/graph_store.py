@@ -126,6 +126,12 @@ class EdgeStore:
             return pos
         return self.eprops.addr(csr.nbr[pos], csr.slots[pos])
 
+    def eprop_keyed_by_input(self, direction: str) -> bool:
+        """Whether the properties of a single-cardinality edge
+        (``src_vcol`` / ``dst_vcol``) are keyed by the input vertex of an
+        extend in ``direction``, rather than by the neighbour it reaches."""
+        return (self.eprop_kind == "src_vcol") == (direction == "fwd")
+
     def storage_kind(self, direction: str) -> str:
         return self.fwd_kind if direction == "fwd" else self.bwd_kind
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec, table5
 from repro.bench.memory import COMPONENTS, format_table2, table2, table2_with_factors
-from repro.bench.prop_pages import khop_read_kernel, khop_spec, table3, format_table3
+from repro.bench.prop_pages import table3, format_table3
 from repro.bench.single_card import CONFIGS, format_table4, reply_khop, table4
 from repro.bench.sensitivity import (
     CM_GRID,
@@ -13,8 +13,6 @@ from repro.bench.sensitivity import (
     table7_extremes,
     table8,
 )
-from repro.proc.lbp import run_lbp
-from repro.storage.graph_store import GraphStore, StorageConfig
 
 
 class TestTable2:
@@ -41,25 +39,6 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_kernel_matches_lbp_all_cells(self, ldbc, ldbc_store_uncompressed):
-        for h in (1, 2):
-            for d in ("fwd", "bwd"):
-                spec = khop_spec("knows", "Person", "date", h, direction=d)
-                assert khop_read_kernel(
-                    ldbc_store_uncompressed, "knows", "date", h, d
-                ) == run_lbp(ldbc_store_uncompressed, spec)
-
-    def test_kernel_matches_lbp_edge_columns(self, ldbc):
-        store = GraphStore.build(
-            ldbc, StorageConfig(edge_prop_storage="edge_columns")
-        )
-        for h in (1, 2):
-            for d in ("fwd", "bwd"):
-                spec = khop_spec("knows", "Person", "date", h, direction=d)
-                assert khop_read_kernel(store, "knows", "date", h, d) == (
-                    run_lbp(store, spec)
-                )
-
     def test_harness_rows(self, wiki):
         df = table3({"WIKI": wiki})
         assert len(df) == 8  # 2 hops x 2 plans x 2 configs

@@ -63,9 +63,9 @@ def _recorded(store, spec, block_size):
 
 
 def _recording(consume, sizes):
-    def recorded(chunk):
-        sizes.extend(g.size for g in chunk.groups)
-        return consume(chunk)
+    def recorded(group):
+        sizes.append(group.size)
+        return consume(group)
     return recorded
 
 
@@ -126,9 +126,9 @@ def test_fused_tail_with_rhs_in_input_group_is_cut(tiny, tiny_store):
     pieces = []
     real_count = sink._count
 
-    def count(chunk, g, rows, *rest):
-        pieces.append((g.size, rows.stop - rows.start))
-        real_count(chunk, g, rows, *rest)
+    def count(group, rows, *rest):
+        pieces.append((group.size, rows.stop - rows.start))
+        real_count(group, rows, *rest)
 
     sink._count = count
     scan.run()

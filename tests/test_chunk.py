@@ -1,15 +1,7 @@
-"""List groups and intermediate chunks (§6.1)."""
+"""Blocks and list groups (§6.1)."""
 import numpy as np
-import pytest
 
-from repro.proc.chunk import Block, IntermediateChunk, ListGroup
-
-
-def _chunk():
-    c = IntermediateChunk()
-    c.push_group(ListGroup({"a": Block(np.array([10, 20]))}, 2))
-    c.push_group(ListGroup({"b": Block(np.array([1, 2, 3]))}, 3))
-    return c
+from repro.proc.chunk import Block, ListGroup
 
 
 class TestBlock:
@@ -35,72 +27,17 @@ class TestBlock:
         )
         assert list(b.decoded()) == ["y", "x", None]
 
-    def test_scalar(self):
-        b = Block(
-            np.array([1, 0]), np.array([False, True]),
-            dictionary=np.array(["x", "y"], dtype=object),
+
+
+class TestListGroup:
+    def test_take_keeps_blocks_aligned(self):
+        g = ListGroup(
+            {"a": Block(np.array([10, 20, 30])),
+             "a.x": Block(np.array([1, 2, 3]), np.array([False, True, False]))},
+            3,
         )
-        assert b.scalar(0) == "y"
-        assert b.scalar(1) is None
-
-
-class TestGroupState:
-    def test_flat_vs_unflat_tuple_count(self):
-        g = ListGroup({"a": Block(np.arange(5))}, 5)
-        assert not g.is_flat and g.tuple_count == 5
-        g.cur_idx = 2
-        assert g.is_flat and g.tuple_count == 1
-
-
-class TestChunk:
-    def test_factorized_tuple_count_is_product(self):
-        c = _chunk()
-        assert c.tuple_count() == 6  # 2 * 3
-        c.groups[0].cur_idx = 1
-        assert c.tuple_count() == 3  # 1 * 3
-
-    def test_push_pop_group_updates_key_map(self):
-        c = _chunk()
-        assert c.group_of("b").size == 3
-        c.pop_group()
-        assert "b" not in c.key_group
-        assert c.group_of("a").size == 2
-
-    def test_add_remove_blocks(self):
-        c = _chunk()
-        c.add_blocks("a", {"a.x": Block(np.array([7, 8]))})
-        assert c.group_of("a.x") is c.group_of("a")
-        c.remove_blocks(["a.x"])
-        assert "a.x" not in c.key_group
-
-    def test_flatten_cartesian_order(self):
-        c = _chunk()
-        cols = c.flatten_columns(["a", "b"])
-        assert list(cols["a"]) == [10, 10, 10, 20, 20, 20]
-        assert list(cols["b"]) == [1, 2, 3, 1, 2, 3]
-
-    def test_flatten_with_flat_group(self):
-        c = _chunk()
-        c.groups[0].cur_idx = 1
-        cols = c.flatten_columns(["a", "b"])
-        assert list(cols["a"]) == [20, 20, 20]
-        assert list(cols["b"]) == [1, 2, 3]
-
-    def test_flatten_null_scalar(self):
-        c = IntermediateChunk()
-        c.push_group(
-            ListGroup(
-                {"a": Block(np.array([1]), np.array([True]))}, 1, cur_idx=0
-            )
-        )
-        c.push_group(ListGroup({"b": Block(np.array([1, 2]))}, 2))
-        cols = c.flatten_columns(["a", "b"])
-        assert list(cols["a"]) == [None, None]
-
-    def test_three_way_product(self):
-        c = _chunk()
-        c.push_group(ListGroup({"d": Block(np.array([7, 8]))}, 2))
-        assert c.tuple_count() == 12
-        cols = c.flatten_columns(["a", "b", "d"])
-        assert len(cols["a"]) == 12
-        assert list(cols["d"][:4]) == [7, 8, 7, 8]
+        t = g.take(np.array([False, True, True]))
+        assert t.size == 2
+        assert list(t.blocks["a"].data) == [20, 30]
+        assert list(t.blocks["a.x"].decoded()) == [None, 3]
+        assert g.size == 3 and list(g.blocks["a"].data) == [10, 20, 30]

@@ -113,7 +113,10 @@ def test_raw_string_matches_scalar_op(op, lit):
 
 @pytest.mark.parametrize("op,lit", RAW_CASES[:8])
 def test_raw_string_literal_on_the_left_matches_scalar_op(op, lit):
-    got = eval_block_vs_literal(op, _raw_block(), lit, lit_left=True)
+    # A one-valued left operand is a block of that value repeated over
+    # the group, compared row by row with the list on the right.
+    left = Block(np.array([lit] * len(RAW), dtype=object))
+    got = eval_block_vs_block(op, left, _raw_block())
     assert list(got) == [scalar_op(op, lit, v) for v in RAW]
 
 

@@ -142,37 +142,30 @@ class TestBatchExtend:
         assert batches[-1].preds and batches[-1].vprop_reads
 
     def test_batch_restores_chunk_state(self, ldbc_store):
-        from repro.proc.chunk import Block, IntermediateChunk, ListGroup
+        # The input group is handed on unchanged: each piece goes
+        # downstream as a new group.
+        from repro.proc.chunk import Block, ListGroup
         from repro.proc.operators import CountSink
 
         es = ldbc_store.edge("knows")
         ext = PhysBatchExtend("a", "b", None, es, "fwd", [], [], [])
         sink = CountSink()
         ext.next = sink
-        chunk = IntermediateChunk()
-        chunk.push_group(
-            ListGroup({"a": Block(np.arange(20, dtype=np.int64))}, 20)
-        )
-        before = (len(chunk.groups), dict(chunk.key_group),
-                  chunk.groups[0].cur_idx, set(chunk.groups[0].blocks))
-        ext.consume(chunk)
-        after = (len(chunk.groups), dict(chunk.key_group),
-                 chunk.groups[0].cur_idx, set(chunk.groups[0].blocks))
-        assert before == after
+        srcs = np.arange(20, dtype=np.int64)
+        group = ListGroup({"a": Block(srcs)}, 20)
+        ext.consume(group)
+        assert set(group.blocks) == {"a"} and group.size == 20
+        assert group.blocks["a"].data is srcs
         assert sink.count > 0
 
     def test_batch_on_flat_group(self, ldbc_store):
-        from repro.proc.chunk import Block, IntermediateChunk, ListGroup
+        # A one-row group (one bound vertex) expands that vertex's list.
+        from repro.proc.chunk import Block, ListGroup
         from repro.proc.operators import CountSink
 
         es = ldbc_store.edge("knows")
         ext = PhysBatchExtend("a", "b", None, es, "fwd", [], [], [])
         sink = CountSink()
         ext.next = sink
-        chunk = IntermediateChunk()
-        chunk.push_group(
-            ListGroup({"a": Block(np.arange(5, dtype=np.int64))}, 5,
-                      cur_idx=2)
-        )
-        ext.consume(chunk)
+        ext.consume(ListGroup({"a": Block(np.array([2], dtype=np.int64))}, 1))
         assert sink.count == es.csr("fwd").degree(2)

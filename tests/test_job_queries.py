@@ -63,9 +63,9 @@ def test_dictionary_mask_once_per_predicate_per_query(imdb_store, monkeypatch):
     real_mask = expressions.dictionary_mask
     real_eval = operators.eval_block_vs_literal
 
-    def counting_mask(op, dictionary, lit, lit_left=False):
+    def counting_mask(op, dictionary, lit):
         masks[op, lit] += 1
-        return real_mask(op, dictionary, lit, lit_left)
+        return real_mask(op, dictionary, lit)
 
     def counting_eval(op, block, lit, *args, **kwargs):
         if block.dictionary is not None:

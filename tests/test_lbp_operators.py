@@ -1,9 +1,9 @@
-"""Operator-level LBP tests: fusion decisions, state restore, views."""
+"""Operator-level LBP tests: fusion decisions, untouched inputs, views."""
 import numpy as np
 import pytest
 
 from repro.bench.prop_pages import _dataset_params, khop_spec
-from repro.proc.chunk import Block, IntermediateChunk, ListGroup
+from repro.proc.chunk import Block, ListGroup
 from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
     CollectSink,
@@ -71,13 +71,13 @@ class TestCutRanges:
     budget and gives each piece's rows and :func:`concat_ranges` output."""
 
     @staticmethod
-    def _check(starts, ends, budget, row0=0):
+    def _check(starts, ends, budget):
         """The pieces, after checking that they cover the concatenation in
         order, each within the budget, with each position on its row."""
         starts, ends = np.asarray(starts), np.asarray(ends)
-        pieces = list(cut_ranges(starts, ends, budget, row0))
+        pieces = list(cut_ranges(starts, ends, budget))
         want_idx, want_contig, want_lens = concat_ranges(starts, ends)
-        want_rows = np.repeat(np.arange(len(starts)) + row0, want_lens)
+        want_rows = np.repeat(np.arange(len(starts)), want_lens)
         got, rows = [], []
         for r, idx, contig, lens in pieces:
             pos = _positions(idx, contig)
@@ -127,12 +127,6 @@ class TestCutRanges:
         for r, _, _, lens in pieces:
             assert lens[0] > 0 and lens[-1] > 0
 
-    def test_flat_group_rows_start_at_cur_idx(self):
-        # One flat tuple (row 4 of its group) whose list is 7 long.
-        pieces = self._check([100], [107], 3, row0=4)
-        assert [(r.start, r.stop) for r, *_ in pieces] == [(4, 5)] * 3
-        assert [c for _, _, c, _ in pieces] == [(100, 103), (103, 106), (106, 107)]
-
     def test_contiguous_input_gives_contiguous_pieces(self):
         starts = np.array([0, 3, 3, 10, 17])
         ends = np.array([3, 3, 10, 17, 18])
@@ -145,7 +139,7 @@ class TestCutRanges:
         rng = np.random.default_rng(budget)
         lens = rng.integers(0, 9, 40) * (rng.random(40) < 0.7)
         starts = rng.integers(0, 1000, 40)
-        self._check(starts, starts + lens, budget, row0=3)
+        self._check(starts, starts + lens, budget)
 
 
 class TestBudgetedExtend:
@@ -157,14 +151,16 @@ class TestBudgetedExtend:
         sizes = []
 
         class Probe(CountSink):
-            def consume(self, chunk):
-                sizes.append([g.size for g in chunk.groups])
-                super().consume(chunk)
+            def consume(self, group):
+                sizes.append(group.size)
+                super().consume(group)
 
         op.next = Probe()
         return sizes, op.next
 
     def test_batch_extend_on_flat_group(self, ldbc_store):
+        # One bound vertex (a one-row group) whose list is longer than
+        # the budget.
         es = ldbc_store.edge("knows")
         csr = es.csr("fwd")
         deg = csr.degrees_of(np.arange(ldbc_store.n_vertices["Person"]))
@@ -174,13 +170,9 @@ class TestBudgetedExtend:
             "a", "b", None, es, "fwd", [], [], [], block_size=3
         )
         sizes, sink = self._sizes_seen(ext)
-        chunk = IntermediateChunk()
-        chunk.push_group(ListGroup(
-            {"a": Block(np.array([0, 1, v], dtype=np.int64))}, 3, cur_idx=2
-        ))
-        ext.consume(chunk)
+        ext.consume(ListGroup({"a": Block(np.array([v], dtype=np.int64))}, 1))
         assert sink.count == deg[v]
-        assert max(s for (s,) in sizes) <= 3
+        assert max(sizes) <= 3
         assert len(sizes) == -(-int(deg[v]) // 3)
 
     def test_filter_count_slices_rhs_to_piece_rows(self, ldbc_store):
@@ -195,9 +187,7 @@ class TestBudgetedExtend:
         counts = []
         for budget in (1, 3, 1 << 15):
             op = PhysExtendFilterCount("a", es, "fwd", "e", [pred], block_size=budget)
-            chunk = IntermediateChunk()
-            chunk.push_group(ListGroup({"a": Block(srcs), "a.x": Block(x)}, 40))
-            op.consume(chunk)
+            op.consume(ListGroup({"a": Block(srcs), "a.x": Block(x)}, 40))
             counts.append(op.count)
         assert nulls is None or not nulls.any()
         starts, ends = csr.ranges_of(srcs)
@@ -265,44 +255,42 @@ class TestFusion:
 
 
 class TestStateRestore:
-    """Operators must leave the chunk exactly as they found it."""
+    """Operators hand new groups downstream and leave their input group
+    as they found it."""
 
-    def _capture(self, chunk):
-        return (
-            len(chunk.groups),
-            {k: v for k, v in chunk.key_group.items()},
-            [g.cur_idx for g in chunk.groups],
-            [set(g.blocks) for g in chunk.groups],
-        )
+    def _capture(self, group):
+        return group.size, {k: (b.data, b.nulls) for k, b in group.blocks.items()}
+
+    def _same(self, group, before):
+        size, blocks = self._capture(group)
+        assert size == before[0] and blocks.keys() == before[1].keys()
+        for k, (data, nulls) in blocks.items():
+            assert data is before[1][k][0] and nulls is before[1][k][1]
 
     def test_list_extend_restores(self, ldbc_store):
         es = ldbc_store.edge("knows")
         ext = PhysListExtend("a", "b", None, es, "fwd", [])
         sink = CountSink()
         ext.next = sink
-        chunk = IntermediateChunk()
-        chunk.push_group(
-            ListGroup({"a": Block(np.arange(10, dtype=np.int64))}, 10)
-        )
-        before = self._capture(chunk)
-        ext.consume(chunk)
-        assert self._capture(chunk) == before
+        group = ListGroup({"a": Block(np.arange(10, dtype=np.int64))}, 10)
+        before = self._capture(group)
+        ext.consume(group)
+        self._same(group, before)
+        starts, ends = es.csr("fwd").ranges_of(np.arange(10))
+        assert sink.count == int((ends - starts).sum()) > 0
 
     def test_filter_restores(self, ldbc_store):
         f = PhysFilter(Pr("a", "x", ">", 3))
         sink = CountSink()
         f.next = sink
-        chunk = IntermediateChunk()
-        chunk.push_group(
-            ListGroup(
-                {"a": Block(np.arange(5, dtype=np.int64)),
-                 "a.x": Block(np.arange(5, dtype=np.int64))},
-                5,
-            )
+        group = ListGroup(
+            {"a": Block(np.arange(5, dtype=np.int64)),
+             "a.x": Block(np.arange(5, dtype=np.int64))},
+            5,
         )
-        before = self._capture(chunk)
-        f.consume(chunk)
-        assert self._capture(chunk) == before
+        before = self._capture(group)
+        f.consume(group)
+        self._same(group, before)
         assert sink.count == 1  # only value 4 passes
 
 
@@ -313,69 +301,60 @@ class TestZeroCopyViews:
         seen = []
 
         class Probe(CountSink):
-            def consume(self, chunk):
-                g = chunk.groups[-1]
-                seen.append(g.blocks["b"].data)
-                super().consume(chunk)
+            def consume(self, group):
+                seen.append(group.blocks["b"].data)
+                super().consume(group)
 
         ext = PhysListExtend("a", "b", None, es, "fwd", [])
         ext.next = Probe()
-        chunk = IntermediateChunk()
-        chunk.push_group(
-            ListGroup({"a": Block(np.arange(5, dtype=np.int64))}, 5)
-        )
-        ext.consume(chunk)
+        ext.consume(ListGroup({"a": Block(np.arange(5, dtype=np.int64))}, 5))
+        assert seen
         for arr in seen:
             assert arr.base is csr.nbr or arr.base is csr.nbr.base
 
 
 class TestFilterCombinations:
-    def _run(self, chunk_builder, pred):
+    def _run(self, build, pred):
         f = PhysFilter(pred)
         sink = CountSink()
         f.next = sink
-        f.consume(chunk_builder())
+        f.consume(build())
         return sink.count
 
     def test_flat_flat(self):
+        # One tuple against a literal.
         def build():
-            c = IntermediateChunk()
-            c.push_group(ListGroup(
-                {"a.x": Block(np.array([1, 9]))}, 2, cur_idx=1))
-            return c
+            return ListGroup({"a.x": Block(np.array([9]))}, 1)
         assert self._run(build, Pr("a", "x", ">", 5)) == 1
         assert self._run(build, Pr("a", "x", "<", 5)) == 0
 
-    def test_list_flat(self):
+    @staticmethod
+    def _one_vs_list(lhs, rhs_block):
+        """``a.x`` holds one value, repeated over the rows of ``b.y``:
+        what binding ``a`` before expanding ``b`` leaves in the group."""
+        n = len(rhs_block)
+
         def build():
-            c = IntermediateChunk()
-            c.push_group(ListGroup(
-                {"a.x": Block(np.array([7]))}, 1, cur_idx=0))
-            c.push_group(ListGroup(
-                {"b.y": Block(np.array([1, 8, 9]))}, 3))
-            return c
+            return ListGroup({
+                "a.x": Block(np.array([lhs] * n, dtype=object),
+                             np.array([lhs is None] * n)),
+                "b.y": rhs_block,
+            }, n)
+        return build
+
+    def test_list_flat(self):
+        build = self._one_vs_list(7, Block(np.array([1, 8, 9])))
         # b.y > a.x -> two of three pass
         assert self._run(
             build, Pr("b", "y", ">", None, rhs_var="a", rhs_prop="x")
         ) == 2
-        # a.x > b.y (flat lhs vs unflat rhs -> mirrored) -> one passes
+        # a.x > b.y -> one passes
         assert self._run(
             build, Pr("a", "x", ">", None, rhs_var="b", rhs_prop="y")
         ) == 1
 
-    @staticmethod
-    def _flat_vs_list(lhs, rhs_block):
-        def build():
-            c = IntermediateChunk()
-            c.push_group(ListGroup(
-                {"a.x": Block(np.array([lhs], dtype=object),
-                              np.array([lhs is None]))}, 1, cur_idx=0))
-            c.push_group(ListGroup({"b.y": rhs_block}, len(rhs_block)))
-            return c
-        return build
-
     def test_flat_null_lhs_vs_list_is_false(self):
-        build = self._flat_vs_list(None, Block(np.array([1, 8, 9])))
+        build = self._one_vs_list(None, Block(np.array([1, 8, 9])))
         for op in (">", "=", "contains", "in"):
             assert self._run(
                 build, Pr("a", "x", op, None, rhs_var="b", rhs_prop="y")
@@ -388,7 +367,7 @@ class TestFilterCombinations:
         (">=", "café"),
     ])
     def test_flat_lhs_string_ops_vs_list(self, op, lhs):
-        # a.x OP b.y with a.x flat: each row of b.y is tested as
+        # a.x OP b.y with one value of a.x: each row of b.y is tested as
         # scalar_op(OP, a.x, b.y), on a raw and on a dictionary block.
         vals = ["café", None, "(co-production)", "", "tea", "é"]
         nulls = np.array([v is None for v in vals])
@@ -402,15 +381,13 @@ class TestFilterCombinations:
         assert 0 < expected < len(vals)
         pred = Pr("a", "x", op, None, rhs_var="b", rhs_prop="y")
         for rhs in (raw, Block(codes, nulls, d)):
-            assert self._run(self._flat_vs_list(lhs, rhs), pred) == expected
+            assert self._run(self._one_vs_list(lhs, rhs), pred) == expected
 
     def test_list_list_same_group(self):
         def build():
-            c = IntermediateChunk()
-            c.push_group(ListGroup(
+            return ListGroup(
                 {"a.x": Block(np.array([1, 5, 9])),
-                 "a.y": Block(np.array([2, 5, 3]))}, 3))
-            return c
+                 "a.y": Block(np.array([2, 5, 3]))}, 3)
         assert self._run(
             build, Pr("a", "x", "<", None, rhs_var="a", rhs_prop="y")
         ) == 1
@@ -423,8 +400,8 @@ def test_scan_block_boundaries(ldbc_store):
     sizes = []
 
     class Probe(CountSink):
-        def consume(self, chunk):
-            sizes.append(chunk.groups[0].size)
+        def consume(self, group):
+            sizes.append(group.size)
 
     scan = PhysScan("a", 2500, block_size=1024)
     scan.next = Probe()
@@ -456,11 +433,9 @@ class TestEdgePropReadersAgree:
         elabel, vlabel, prop = _dataset_params(tiny)
         es = GraphStore.build(tiny, cfg).edge(elabel)
         n = tiny.n_vertices(vlabel)
-        chunk = IntermediateChunk()
-        chunk.push_group(ListGroup({"a": Block(np.arange(n))}, n))
         op = PhysListExtend("a", "b", "e", es, direction, [prop])
         op.next = sink = CollectSink(["a", "b", f"e.{prop}"], ["a", "b", "p"])
-        op.consume(chunk)
+        op.consume(ListGroup({"a": Block(np.arange(n))}, n))
         got = sorted(sink.result().astype(int).itertuples(index=False, name=None))
         et = tiny.etables[elabel]
         own, other = ("src", "dst") if direction == "fwd" else ("dst", "src")

@@ -139,9 +139,9 @@ def _run(store, spec, block_size):
             builds.append(1)
             return build()
 
-        def recorded_consume(chunk):
+        def recorded_consume(group):
             calls.append(sink.cum is not None)
-            consume(chunk)
+            consume(group)
 
         sink._prefix_sum = counted_build
         sink.consume = recorded_consume
