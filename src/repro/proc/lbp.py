@@ -17,6 +17,11 @@ pipeline of physical operators over a :class:`GraphStore`:
 - A terminal extend followed only by count(*) is fused into
   :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend` so the
   last hop is aggregated directly from the factorized representation.
+- A count(*) over a chain of CSR extends whose consecutive edges are
+  compared by a numeric inequality (Table 3's ``e_k.ts > e_{k-1}.ts``)
+  gets a :class:`PhysChainCount` after its first extend
+  (:func:`_fuse_chain_count`); the later extends and the fused tail stay
+  as its pipeline until it switches to per-edge suffix weights.
 - The scan covers only the offsets that the literal predicates right
   after it can match on a sorted numeric column (:func:`scan_bounds`),
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
@@ -24,7 +29,8 @@ pipeline of physical operators over a :class:`GraphStore`:
 The pipeline passes one unflat list group at a time: each fused extend
 hands downstream a new group in place of its input, so factorization
 is kept only where a count never needs the tuples (the count tails'
-list lengths and prefix sums, and :func:`_try_vectorized_count`).
+list lengths and prefix sums, the chain count's suffix weights, and
+:func:`_try_vectorized_count`).
 
 ``run_lbp`` executes the pipeline single-threaded and returns an int
 (count) or a pandas DataFrame (projections). The Spark-parallel variant
@@ -41,6 +47,7 @@ from repro.proc.operators import (
     CountSink,
     Operator,
     PhysBatchExtend,
+    PhysChainCount,
     PhysColumnExtend,
     PhysCountColumnExtend,
     PhysCountListExtend,
@@ -49,6 +56,7 @@ from repro.proc.operators import (
     PhysListExtend,
     PhysScan,
     PhysVertexPropRead,
+    _BAND,
 )
 from repro.proc.plan import (
     ExtendStep,
@@ -202,6 +210,7 @@ def compile_lbp(
         ops.append(sink)
 
     ops = _fuse_batch_extends(ops, block_size)
+    sink = _fuse_chain_count(ops) or sink
     for a, b in zip(ops, ops[1:]):
         a.next = b
     return ops[0], sink
@@ -279,20 +288,7 @@ def _fuse_count_tail(ops: list[Operator], block_size: int):
     if not preds or i < 0 or not isinstance(ops[i], PhysListExtend):
         return None
     ext = ops[i]
-    norm = []
-    for p in preds:
-        if (
-            p.var != ext.edge_var
-            and p.rhs_var == ext.edge_var
-            and p.op in _MIRROR
-        ):
-            # a.x OP e.y  →  e.y mirror(OP) a.x, so the fused edge is lhs.
-            p = Predicate(
-                p.rhs_var, p.rhs_prop, _MIRROR[p.op],
-                rhs_var=p.var, rhs_prop=p.prop,
-            )
-        norm.append(p)
-    preds = norm
+    preds = [_edge_lhs(p, ext.edge_var) for p in preds]
     for p in preds:
         if p.var != ext.edge_var:
             return None
@@ -307,6 +303,71 @@ def _fuse_count_tail(ops: list[Operator], block_size: int):
     del ops[i:]
     ops.append(sink)
     return sink
+
+
+def _edge_lhs(p: Predicate, evar: str | None) -> Predicate:
+    """``a.x OP e.y`` as ``e.y mirror(OP) a.x``, so edge ``evar`` is the
+    left-hand side; other predicates as they are."""
+    if (
+        evar is not None and p.rhs_var == evar and p.var != evar
+        and p.op in _MIRROR
+    ):
+        return Predicate(
+            p.rhs_var, p.rhs_prop, _MIRROR[p.op],
+            rhs_var=p.var, rhs_prop=p.prop,
+        )
+    return p
+
+
+def _fuse_chain_count(ops: list[Operator]) -> PhysChainCount | None:
+    """Put a :class:`PhysChainCount` after the first extend of a chained
+    count(*) plan, in place; returns it, or None when the plan is not one.
+
+    The plan must be a scan, then CSR extends, each from the previous
+    one's out-vertex, ending in the fused count tail. Every predicate
+    compares an edge property to a literal, or, at most once per hop, a
+    numeric property of an edge to one of the edge before it with ``<``,
+    ``<=``, ``>`` or ``>=``; at least one such band exists. The extends
+    after the first stay in place as the chain's suffix pipeline.
+    """
+    exts = ops[1:]
+    if (
+        len(exts) < 2
+        or not isinstance(exts[-1], PhysExtendFilterCount)
+        or not all(
+            isinstance(op, PhysBatchExtend) and not op.vprop_reads
+            for op in exts[:-1]
+        )
+        or any(p.rhs_var or p.var != exts[0].edge_var for p in exts[0].preds)
+    ):
+        return None
+    hops = []
+    for prev, op in zip(exts, exts[1:]):
+        preds = [_edge_lhs(p, op.edge_var) for p in op.preds]
+        bands = [p for p in preds if p.rhs_var is not None]
+        if (
+            op.src_var != prev.out_var
+            or any(p.var != op.edge_var for p in preds)
+            or len(bands) > 1
+            or any(
+                b.rhs_var != prev.edge_var or b.op not in _BAND
+                or "str" in (op.estore.label.prop(b.prop).dtype,
+                             prev.estore.label.prop(b.rhs_prop).dtype)
+                for b in bands
+            )
+        ):
+            return None
+        hops.append(op if op is exts[-1] else PhysExtendFilterCount(
+            op.src_var, op.estore, op.direction, op.edge_var, preds,
+            block_size=op.block_size,
+        ))
+    if all(p.rhs_var is None for h in hops for p in h.preds):
+        return None
+    for a, b in zip(exts[1:], exts[2:]):
+        a.next = b
+    chain = PhysChainCount(exts[0], hops, exts[1])
+    ops[2:] = [chain]
+    return chain
 
 
 #: float64 sums of integers are exact while they stay below 2^53.

@@ -244,6 +244,16 @@ class NullableColumn:
             # validity-bit gather and the rank computation entirely.
             return self.values[idx], np.zeros(len(idx), dtype=bool)
         idx = idx.astype(np.int64, copy=False)
+        if self.mode == "jacobson" and len(self.values):
+            # One Jacobson pass gives each rank and the position's own bit.
+            # An unset position takes the next set one's rank, which may
+            # be one past the values: clip it, then blank the NULLs.
+            ranks, bits = self.index.rank(idx, with_bits=True)
+            nulls = bits == 0
+            out = self.values.take(ranks, mode="clip")
+            if nulls.any():
+                out[nulls] = None if out.dtype == object else 0
+            return out, nulls
         present = self.index.is_set(idx)
         if self.mode == "uncompressed":
             return self.values[idx], ~present

@@ -77,17 +77,23 @@ class TestVectorizedCount:
         assert sum(parts) == _try_vectorized_count(ldbc_store, spec, None)
 
 
-def _complete_digraph_store(n: int, config: StorageConfig) -> GraphStore:
+def _complete_digraph_store(
+    n: int, config: StorageConfig, *, ts: bool = False
+) -> GraphStore:
     """Every ordered pair of distinct vertices is an edge: a k-hop path
-    count is exactly n·(n-1)^k."""
+    count is exactly n·(n-1)^k. With ``ts``, every edge has the same
+    int ``ts`` property."""
     sch = GraphSchema()
     sch.add_vertex("node", PropSpec("id"))
-    sch.add_edge("link", "node", "node", "n-n")
+    sch.add_edge("link", "node", "node", "n-n", *[PropSpec("ts")] * ts)
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    edges = pd.DataFrame({"src": src, "dst": dst})
+    if ts:
+        edges["ts"] = 7
     data = GraphData(
         sch,
         {"node": pd.DataFrame({"_id": np.arange(n), "id": np.arange(n)})},
-        {"link": pd.DataFrame({"src": src, "dst": dst})},
+        {"link": edges},
     )
     data.validate()
     return GraphStore.build(data, config)

@@ -9,6 +9,7 @@ from repro.proc.operators import (
     CollectSink,
     CountSink,
     PhysBatchExtend,
+    PhysChainCount,
     PhysCountColumnExtend,
     PhysCountListExtend,
     PhysExtendFilterCount,
@@ -251,7 +252,13 @@ class TestFusion:
              Pr("e2", "date", ">", None, rhs_var="e1", rhs_prop="date")],
             "count", ["c", "b", "a"],
         )
-        assert isinstance(_ops(ldbc_store, spec)[-1], PhysExtendFilterCount)
+        # The chain count keeps the fused tail as its last hop, with the
+        # tail's edge mirrored to the left-hand side.
+        chain = _ops(ldbc_store, spec)[-1]
+        assert isinstance(chain, PhysChainCount)
+        tail = chain.hops[-1]
+        assert isinstance(tail, PhysExtendFilterCount)
+        assert Pr("e1", "date", "<", None, "e2", "date") in tail.preds
 
 
 class TestStateRestore:

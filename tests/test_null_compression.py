@@ -142,6 +142,41 @@ def test_nullable_column_object_values():
     assert list(nulls) == [False, True, False, True]
 
 
+def _two_pass(col, idx):
+    """``get_many`` as two passes: presence bits, then the ranks of the
+    present positions only, scattered into a sentinel-filled output."""
+    present = col.index.is_set(idx)
+    if col.values.dtype == object:
+        out = np.full(len(idx), None, dtype=object)
+    else:
+        out = np.zeros(len(idx), dtype=col.values.dtype)
+    if present.any():
+        out[present] = col.values[col.index.rank(idx[present])]
+    return out, ~present
+
+
+@pytest.mark.parametrize("mode", ["jacobson", "vanilla"])
+@pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_get_many_matches_two_passes(mode, dtype, density):
+    rng = np.random.default_rng(8)
+    n = 1500
+    mask = rng.random(n) < density
+    vals = rng.integers(1, 10**6, n).astype(dtype)
+    if dtype == "object":
+        vals = np.array([f"s{v}" for v in vals], dtype=object)
+    col = NullableColumn(vals, mask, mode=mode)
+    # Empty, one position, the last one (whose rank may be past the
+    # values) and random positions with repeats.
+    for idx in (np.zeros(0, np.int64), np.array([0]), np.array([n - 1]),
+                rng.integers(0, n, 400)):
+        got, nulls = col.get_many(idx)
+        want, want_nulls = _two_pass(col, idx)
+        assert got.dtype == want.dtype and len(got) == len(idx)
+        assert (nulls == want_nulls).all() and (nulls == ~mask[idx]).all()
+        assert list(got) == list(want)
+
+
 def test_nullable_column_length_mismatch():
     with pytest.raises(ValueError):
         NullableColumn(np.arange(3), np.array([True, False]))

@@ -21,7 +21,11 @@ from repro.graphs.datasets import _with_nulls
 from repro.graphs.schema import GraphSchema
 from repro.graphs.schema import PropSpec as P
 from repro.proc.lbp import compile_lbp
-from repro.proc.operators import BLOCK_SIZE, PhysExtendFilterCount
+from repro.proc.operators import (
+    BLOCK_SIZE,
+    PhysChainCount,
+    PhysExtendFilterCount,
+)
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec, to_sql
@@ -196,14 +200,20 @@ def test_table5_filter_tail_builds_once(tiny, tiny_store, hops):
 @pytest.mark.parametrize("hops", [2, 3])
 def test_chain_tail_never_builds(tiny, tiny_store, hops, direction):
     # e_k.timestamp > e_{k-1}.timestamp compares to the previous edge,
-    # which changes from tuple to tuple: no prefix sum applies.
+    # which changes from tuple to tuple: the tail builds no prefix sum.
+    # The chain count around it builds its suffix weights at most once.
     spec = khop_spec("link", "node", "timestamp", hops, direction=direction)
     want = _duckdb_count(tiny, spec)
     for budget in BUDGETS:
-        got, tail, builds, _ = _run(tiny_store, spec, budget)
-        assert got == want
-        assert tail is not None and not tail.literal_only
-        assert builds == 0 and tail.cum is None
+        scan, sink = compile_lbp(tiny_store, spec, block_size=budget)
+        assert isinstance(sink, PhysChainCount)
+        builds, build = [], sink._build
+        sink._build = lambda: builds.append(1) or build()
+        scan.run()
+        assert sink.count == want, budget
+        assert len(builds) <= 1
+        tail = sink.hops[-1]
+        assert not tail.literal_only and tail.cum is None
 
 
 @pytest.mark.parametrize("name", ["10a", "20a", "21a"])
