@@ -341,31 +341,28 @@ def _fuse_chain_count(ops: list[Operator]) -> PhysChainCount | None:
         or any(p.rhs_var or p.var != exts[0].edge_var for p in exts[0].preds)
     ):
         return None
-    hops = []
+    bands = []
     for prev, op in zip(exts, exts[1:]):
         preds = [_edge_lhs(p, op.edge_var) for p in op.preds]
-        bands = [p for p in preds if p.rhs_var is not None]
+        hop_bands = [p for p in preds if p.rhs_var is not None]
         if (
             op.src_var != prev.out_var
             or any(p.var != op.edge_var for p in preds)
-            or len(bands) > 1
+            or len(hop_bands) > 1
             or any(
                 b.rhs_var != prev.edge_var or b.op not in _BAND
                 or "str" in (op.estore.label.prop(b.prop).dtype,
                              prev.estore.label.prop(b.rhs_prop).dtype)
-                for b in bands
+                for b in hop_bands
             )
         ):
             return None
-        hops.append(op if op is exts[-1] else PhysExtendFilterCount(
-            op.src_var, op.estore, op.direction, op.edge_var, preds,
-            block_size=op.block_size,
-        ))
-    if all(p.rhs_var is None for h in hops for p in h.preds):
+        bands += hop_bands or [None]
+    if all(b is None for b in bands):
         return None
     for a, b in zip(exts[1:], exts[2:]):
         a.next = b
-    chain = PhysChainCount(exts[0], hops, exts[1])
+    chain = PhysChainCount(exts[0], exts[1:], bands)
     ops[2:] = [chain]
     return chain
 

@@ -233,6 +233,28 @@ def _csr_pieces(csr, block_size: int):
         yield owners[rows], lens, idx, contig
 
 
+def _read_once(op, blocks, prop, srcs, lens, idx, contig) -> Block:
+    """Edge property ``prop`` of extend ``op`` (a :class:`PhysBatchExtend`
+    or :class:`PhysExtendFilterCount`) over the given positions, read
+    once per piece into ``blocks``."""
+    if prop not in blocks:
+        blocks[prop] = _eprop_block_multi(
+            op.estore, prop, op.direction, srcs, lens, idx, contig, op.csr
+        )
+    return blocks[prop]
+
+
+def _literal_mask(op, blocks, srcs, lens, idx, contig) -> np.ndarray:
+    """The positions passing every literal predicate of extend ``op``;
+    the properties read go into ``blocks``."""
+    mask = np.ones(int(lens.sum()), dtype=bool)
+    for p, memo in zip(op.preds, op.memos):
+        if p.rhs_var is None:
+            lblk = _read_once(op, blocks, p.prop, srcs, lens, idx, contig)
+            mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
+    return mask
+
+
 class PhysExtendFilterCount(Operator):
     """Fused terminal ListExtend + Filter(s) + count(*).
 
@@ -280,12 +302,8 @@ class PhysExtendFilterCount(Operator):
         self.expanded = 0  # adjacency positions expanded, this query
         self.cum: np.ndarray | None = None  # mask prefix sum, this query
 
-    def consume(self, group: ListGroup, ranges=None) -> None:
-        """``ranges``: the input's ``csr.ranges_of``, when the caller has
-        it."""
-        starts, ends = ranges or self.csr.ranges_of(
-            group.blocks[self.src_var].data
-        )
+    def consume(self, group: ListGroup) -> None:
+        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         if self.cum is None and self.literal_only:
             self.expanded += int((ends - starts).sum())
             if self.expanded >= self.csr.n_edges > 0:
@@ -305,39 +323,20 @@ class PhysExtendFilterCount(Operator):
         cum = np.empty(self.csr.n_edges + 1, dtype=np.int64)
         cum[0] = 0
         for srcs, lens, idx, contig in _csr_pieces(self.csr, self.block_size):
-            mask = self._literal_mask({}, srcs, lens, idx, contig)
+            mask = _literal_mask(self, {}, srcs, lens, idx, contig)
             lo, hi = contig
             np.cumsum(mask, out=cum[lo + 1:hi + 1])
             cum[lo + 1:hi + 1] += cum[lo]
         return cum
 
-    def _read(self, blocks, prop, srcs, lens, idx, contig) -> Block:
-        """``prop`` over the given positions, read once per piece."""
-        if prop not in blocks:
-            blocks[prop] = _eprop_block_multi(
-                self.estore, prop, self.direction, srcs, lens, idx, contig,
-                self.csr,
-            )
-        return blocks[prop]
-
-    def _literal_mask(self, blocks, srcs, lens, idx, contig) -> np.ndarray:
-        """The positions passing every literal predicate; the properties
-        read go into ``blocks``."""
-        mask = np.ones(int(lens.sum()), dtype=bool)
-        for p, memo in zip(self.preds, self.memos):
-            if p.rhs_var is None:
-                lblk = self._read(blocks, p.prop, srcs, lens, idx, contig)
-                mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
-        return mask
-
     def _count(self, group, rows, idx, contig, lens) -> None:
         srcs = group.blocks[self.src_var].data[rows]
         blocks: dict[str, Block] = {}
-        mask = self._literal_mask(blocks, srcs, lens, idx, contig)
+        mask = _literal_mask(self, blocks, srcs, lens, idx, contig)
         for p in self.preds:
             if p.rhs_var is None:
                 continue
-            lblk = self._read(blocks, p.prop, srcs, lens, idx, contig)
+            lblk = _read_once(self, blocks, p.prop, srcs, lens, idx, contig)
             rblk = group.blocks[f"{p.rhs_var}.{p.rhs_prop}"]
             mask &= eval_block_vs_block(p.op, lblk, _expand(rblk, rows, lens))
         self.count += int(mask.sum())
@@ -382,7 +381,9 @@ class _SuffixSums:
     lie on one side of one ``searchsorted`` probe. ``rank(y)`` is ``y -
     vmin`` while such keys fit int64, else ``y``'s index in the distinct
     values ``u``; a float operand makes both compare as float64, as numpy
-    compares them. 0/1 weights sort only the passing keys and need no
+    compares them. The offset keys need no sort but the key sort, where
+    distinct-value ranks add a ``np.unique`` of every weighted edge:
+    ranks alone made the k-hop chain counts 1.9–3.0× slower. 0/1 weights sort only the passing keys and need no
     argsort: ``scum[i]`` is ``i``.
     """
 
@@ -411,10 +412,10 @@ class _SuffixSums:
             key += y
             key -= lo
         else:
-            self.u = np.unique(y)
+            self.u, rank = np.unique(y, return_inverse=True)
             self.R = len(self.u)
             key *= self.R
-            key += np.searchsorted(self.u, y)
+            key += rank
         if w.dtype == bool:
             self.keys, self.scum = np.sort(key), None
         else:
@@ -462,7 +463,11 @@ class PhysChainCount(Operator):
     hop ``k``'s literal mask times the sum of ``W_{k+1}`` over the next
     list's edges that pass the band against the edge (the last hop's is
     its mask). Each later row costs one ``ranges_of`` and one
-    ``searchsorted``.
+    ``searchsorted``. ``hops`` are the chain's extends after the first,
+    the pipeline itself: :class:`PhysBatchExtend` operators, then the
+    :class:`PhysExtendFilterCount` tail. ``bands[k]`` is hop ``k``'s
+    inequality against the hop before it, with the hop's edge on the
+    left, or None.
 
     The build reads properties in ``block_size`` pieces through
     :func:`_eprop_block_multi`, as the tail's prefix sum does, so forward
@@ -475,17 +480,13 @@ class PhysChainCount(Operator):
     """
 
     def __init__(
-        self, first: "PhysBatchExtend", hops: list[PhysExtendFilterCount],
-        suffix: Operator,
+        self, first: "PhysBatchExtend", hops: list[Operator],
+        bands: list[Predicate | None],
     ) -> None:
         super().__init__()
         # ``first`` hands its groups here: keeping it would make a cycle
         # that holds each query's weights until the cyclic collector runs.
-        self.src_var, self.hops, self.suffix = first.out_var, hops, suffix
-        self.bands = [
-            next((p for p in h.preds if p.rhs_var is not None), None)
-            for h in hops
-        ]
+        self.src_var, self.hops, self.bands = first.out_var, hops, bands
         labels = [first.estore.label] + [h.estore.label for h in hops]
         self.floats = [
             b is not None and "float64" in (
@@ -506,12 +507,13 @@ class PhysChainCount(Operator):
         return self.counted + self.hops[-1].count
 
     def consume(self, group: ListGroup) -> None:
-        vs = group.blocks[self.src_var].data
-        starts, ends = self.hops[0].csr.ranges_of(vs)
+        starts, ends = self.hops[0].csr.ranges_of(
+            group.blocks[self.src_var].data
+        )
         if self.weights is None:
             self.expanded += int((ends - starts).sum())
             if not self.expanded >= self.n_edges > 0:
-                self.suffix.consume(group, (starts, ends))
+                self.hops[0].consume(group)
                 return
             self.weights = self._build()
         x = None if self.probe is None else group.blocks[self.probe]
@@ -533,16 +535,16 @@ class PhysChainCount(Operator):
         ws, ys, valid = ([np.zeros(0, t)] for t in (bool, np.int64, bool))
         for srcs, lens, idx, contig in _csr_pieces(h.csr, h.block_size):
             blocks: dict[str, Block] = {}
-            w = h._literal_mask(blocks, srcs, lens, idx, contig)
+            w = _literal_mask(h, blocks, srcs, lens, idx, contig)
             if nxt is not None:
                 s, e = nxt.csr.ranges_of(h.csr.nbr[contig[0]:contig[1]])
-                x = None if probe is None else h._read(
-                    blocks, probe.rhs_prop, srcs, lens, idx, contig
+                x = None if probe is None else _read_once(
+                    h, blocks, probe.rhs_prop, srcs, lens, idx, contig
                 )
                 w = w * nxt.sums(s, e, x)
             ws.append(w)
             if band is not None:
-                y = h._read(blocks, band.prop, srcs, lens, idx, contig)
+                y = _read_once(h, blocks, band.prop, srcs, lens, idx, contig)
                 ys.append(y.data)
                 valid.append(
                     np.ones(len(y), bool) if y.nulls is None else ~y.nulls
@@ -681,11 +683,8 @@ class PhysBatchExtend(Operator):
         self.csr = estore.csr(direction)
         self.memos = [{} for _ in preds]  # dictionary masks, this query
 
-    def consume(self, group: ListGroup, ranges=None) -> None:
-        """``ranges`` as for :meth:`PhysExtendFilterCount.consume`."""
-        starts, ends = ranges or self.csr.ranges_of(
-            group.blocks[self.src_var].data
-        )
+    def consume(self, group: ListGroup) -> None:
+        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         for piece in cut_ranges(starts, ends, self.block_size):
             self._extend(group, *piece)
 
