@@ -1,32 +1,32 @@
 """LBP plan compilation and execution (paper §6).
 
-``compile_lbp`` turns the logical plan of a :class:`QuerySpec` into a
-pipeline of physical operators over a :class:`GraphStore`:
+``compile_lbp`` walks the logical plan of a :class:`QuerySpec` once and
+emits the operators that run over a :class:`GraphStore`:
 
-- ExtendStep → :class:`PhysListExtend` (CSR side) or
+- ExtendStep → :class:`PhysBatchExtend` (CSR side) or
   :class:`PhysColumnExtend` (vertex-column side), per Table 1 storage;
-  edge properties the query needs are materialized at the extend. Each
-  ListExtend is then fused with the property reads and filters after it
-  into a :class:`PhysBatchExtend`, or, at a count(*) tail, into a
-  :class:`PhysExtendFilterCount`.
+  edge properties the query needs are read at the extend. The batch
+  extend is the paper's ListExtend: it also takes the out-vertex
+  property reads and the filters right after it, up to a read of
+  another vertex's property.
+- Other vertex properties referenced by a filter or RETURN are gathered
+  by a :class:`PhysVertexPropRead`; a :class:`PhysFilter` evaluates each
+  filter after one.
 - ``block_size`` is the most tuples a list group may hold: the scan's
-  vertices per block and the fused extends' adjacency positions per
-  piece, so intermediates stay within it however many hops are expanded.
-- Vertex properties referenced by a filter or RETURN are gathered by a
-  :class:`PhysVertexPropRead` inserted right before first use.
-- A terminal extend followed only by count(*) is fused into
-  :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend` so the
-  last hop is aggregated directly from the factorized representation.
+  vertices per block and the extends' adjacency positions per piece, so
+  intermediates stay within it however many hops are expanded.
+- At count(*), :func:`_count_tail` turns the last operator into a count
+  on the factorized form, or appends a :class:`CountSink`.
 - A count(*) over a chain of CSR extends whose consecutive edges are
   compared by a numeric inequality (Table 3's ``e_k.ts > e_{k-1}.ts``)
   gets a :class:`PhysChainCount` after its first extend
-  (:func:`_fuse_chain_count`); the later extends and the fused tail stay
+  (:func:`_fuse_chain_count`); the later extends and the count tail stay
   as its pipeline until it switches to per-edge suffix weights.
 - The scan covers only the offsets that the literal predicates right
   after it can match on a sorted numeric column (:func:`scan_bounds`),
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
 
-The pipeline passes one unflat list group at a time: each fused extend
+The pipeline passes one unflat list group at a time: each extend
 hands downstream a new group in place of its input, so factorization
 is kept only where a count never needs the tuples (the count tails'
 list lengths and prefix sums, the chain count's suffix weights, and
@@ -53,7 +53,6 @@ from repro.proc.operators import (
     PhysCountListExtend,
     PhysExtendFilterCount,
     PhysFilter,
-    PhysListExtend,
     PhysScan,
     PhysVertexPropRead,
     _BAND,
@@ -143,7 +142,11 @@ def compile_lbp(
         if key in produced or var not in spec.vertices:
             return  # edge props are produced by their extend
         vcol = store.vprop_column(spec.vertices[var], prop)
-        ops.append(PhysVertexPropRead(var, prop, vcol))
+        last = ops[-1]
+        if isinstance(last, PhysBatchExtend) and last.out_var == var:
+            last.vprop_reads.append((prop, vcol))
+        else:
+            ops.append(PhysVertexPropRead(var, prop, vcol))
         produced.add(key)
 
     def bind_return_props(var: str) -> None:
@@ -171,138 +174,74 @@ def compile_lbp(
             eprops = needed_eprops(spec, step.edge.var) if step.edge.var else []
             for p in eprops:
                 produced.add(f"{step.edge.var}.{p}")
-            cls = (
-                PhysColumnExtend
-                if estore.storage_kind(step.direction) == "vcol"
-                else PhysListExtend
+            args = (
+                step.src_var, step.out_var, step.edge.var, estore,
+                step.direction, eprops,
             )
-            ops.append(
-                cls(
-                    step.src_var,
-                    step.out_var,
-                    step.edge.var,
-                    estore,
-                    step.direction,
-                    eprops,
-                )
-            )
+            if estore.storage_kind(step.direction) == "vcol":
+                ops.append(PhysColumnExtend(*args))
+            else:
+                ops.append(PhysBatchExtend(*args, block_size=block_size))
             bind_return_props(step.out_var)
         elif isinstance(step, FilterStep):
             ensure_vprop(step.pred.var, step.pred.prop)
             if step.pred.rhs_var:
                 ensure_vprop(step.pred.rhs_var, step.pred.rhs_prop)
-            ops.append(PhysFilter(step.pred))
+            if isinstance(ops[-1], PhysBatchExtend):
+                ops[-1].add_pred(step.pred)
+            else:
+                ops.append(PhysFilter(step.pred))
         else:
             raise TypeError(step)
 
     if spec.returns == "count":
-        sink = _fuse_count_tail(ops, block_size)
-        if sink is None:
-            sink = CountSink()
-            ops.append(sink)
+        tail = _count_tail(ops[-1], block_size)
+        if tail is None:
+            ops.append(CountSink())
+        else:
+            ops[-1] = tail
     else:
         keys, names = [], []
         for var, prop in spec.returns:
             ensure_vprop(var, prop)
             keys.append(f"{var}.{prop}")
             names.append(f"{var}_{prop}")
-        sink = CollectSink(keys, names)
-        ops.append(sink)
-
-    ops = _fuse_batch_extends(ops, block_size)
-    sink = _fuse_chain_count(ops) or sink
+        ops.append(CollectSink(keys, names))
+    sink = _fuse_chain_count(ops) or ops[-1]
     for a, b in zip(ops, ops[1:]):
         a.next = b
     return ops[0], sink
 
 
-def _fuse_batch_extends(
-    ops: list[Operator], block_size: int
-) -> list[Operator]:
-    """Fuse each ListExtend with its adjacent out-var property reads and
-    filters into a block-at-a-time :class:`PhysBatchExtend` (see its
-    docstring for why this is the faithful vectorized form of LBP's
-    flatten-and-iterate on non-terminal extends)."""
-    out: list[Operator] = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if not isinstance(op, PhysListExtend):
-            out.append(op)
-            i += 1
-            continue
-        vreads: list[tuple[str, object]] = []
-        preds = []
-        j = i + 1
-        while j < len(ops):
-            nxt = ops[j]
-            if (
-                isinstance(nxt, PhysVertexPropRead)
-                and nxt.var == op.out_var
-            ):
-                vreads.append((nxt.prop, nxt.vcol))
-                j += 1
-                continue
-            if isinstance(nxt, PhysFilter):
-                preds.append(nxt.pred)
-                j += 1
-                continue
-            break
-        out.append(
-            PhysBatchExtend(
-                op.src_var, op.out_var, op.edge_var, op.estore,
-                op.direction, op.eprops, vreads, preds,
-                block_size=block_size,
-            )
-        )
-        i = j
-    return out
+def _count_tail(op: Operator, block_size: int) -> Operator | None:
+    """The count(*) operator that replaces a plan's last operator ``op``
+    (paper §6.2, aggregation on the factorized form), or None:
 
-
-def _fuse_count_tail(ops: list[Operator], block_size: int):
-    """Fuse a count(*) plan tail in place; returns the sink or None.
-
-    Two fusions (paper §6.2, aggregation on the factorized form):
-    - terminal extend with no property reads → count adjacency-list
-      lengths (:class:`PhysCountListExtend` / `PhysCountColumnExtend`);
-    - terminal ListExtend + filters *only on that edge's properties* →
-      block-at-a-time :class:`PhysExtendFilterCount`.
+    - an extend with no property reads or filters counts list lengths
+      (:class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`);
+    - a CSR extend filtered only on its own edge's properties counts its
+      filtered lists (:class:`PhysExtendFilterCount`).
     """
-    last = ops[-1]
-    if isinstance(last, (PhysListExtend, PhysColumnExtend)) and not last.eprops:
-        fused_cls = (
-            PhysCountListExtend
-            if isinstance(last, PhysListExtend)
-            else PhysCountColumnExtend
+    if isinstance(op, PhysColumnExtend) and not op.eprops:
+        return PhysCountColumnExtend(op.src_var, op.estore, op.direction)
+    if not isinstance(op, PhysBatchExtend) or op.vprop_reads:
+        return None
+    if not (op.preds or op.eprops):
+        return PhysCountListExtend(op.src_var, op.estore, op.direction)
+    preds = [_edge_lhs(p, op.edge_var) for p in op.preds]
+    if (
+        not preds
+        or any(
+            p.var != op.edge_var or p.rhs_var in (op.edge_var, op.out_var)
+            for p in preds
         )
-        sink = fused_cls(last.src_var, last.estore, last.direction)
-        ops[-1] = sink
-        return sink
-    # Trailing run of filters over the final ListExtend's edge properties.
-    i = len(ops) - 1
-    preds = []
-    while i >= 0 and isinstance(ops[i], PhysFilter):
-        preds.append(ops[i].pred)
-        i -= 1
-    preds.reverse()
-    if not preds or i < 0 or not isinstance(ops[i], PhysListExtend):
+        or set(op.eprops) - {p.prop for p in preds}
+    ):
         return None
-    ext = ops[i]
-    preds = [_edge_lhs(p, ext.edge_var) for p in preds]
-    for p in preds:
-        if p.var != ext.edge_var:
-            return None
-        if p.rhs_var in (ext.edge_var, ext.out_var):
-            return None
-    if set(ext.eprops) - {p.prop for p in preds}:
-        return None
-    sink = PhysExtendFilterCount(
-        ext.src_var, ext.estore, ext.direction, ext.edge_var, preds,
+    return PhysExtendFilterCount(
+        op.src_var, op.estore, op.direction, op.edge_var, preds,
         block_size=block_size,
     )
-    del ops[i:]
-    ops.append(sink)
-    return sink
 
 
 def _edge_lhs(p: Predicate, evar: str | None) -> Predicate:

@@ -9,17 +9,17 @@ of input rows over their lists).
 
 - ``block_size`` (default :data:`BLOCK_SIZE`, ``1 << 15``) is the most
   tuples a list group may hold. :class:`PhysScan` emits
-  ``block_size``-vertex blocks of its ``[lo, hi)`` range, and the fused
+  ``block_size``-vertex blocks of its ``[lo, hi)`` range, and the CSR
   extends :class:`PhysBatchExtend` / :class:`PhysExtendFilterCount` run
   once per piece of at most ``block_size`` adjacency positions
   (:func:`cut_ranges`), so intermediates stay bounded however many hops
   a plan expands.
-- :class:`PhysListExtend` is the unfused, per-list form of the extend:
-  per input row it emits a group of that row's blocks repeated over its
-  adjacency list, plus the list (a *view* over the CSR array) and its
-  edge properties. Compiled plans fuse it into one of the operators
-  below; it stays as the plan node fusion rewrites and as the per-list
-  reference reader.
+- :class:`PhysBatchExtend` is the ListExtend of compiled plans: it
+  expands its input over the adjacency lists, reads the edge and
+  out-vertex properties, and applies the filters that follow it.
+- :class:`PhysListExtend` reads one adjacency list at a time; no plan
+  holds it. It is the per-list reference the batched edge-property
+  reads are tested against.
 - :class:`PhysColumnExtend` adds gathered blocks to its input group's
   (1-1 / n-1 / 1-n edges stored in vertex columns), dropping tuples with
   no edge.
@@ -75,7 +75,6 @@ class PhysScan(Operator):
     ) -> None:
         super().__init__()
         self.var = var
-        self.n = n_vertices
         self.block_size = block_size
         self.lo, self.hi = lo, n_vertices if hi is None else hi
 
@@ -88,6 +87,16 @@ class PhysScan(Operator):
             ))
 
 
+def _block(col, vals: np.ndarray, nulls: np.ndarray) -> Block:
+    """A read of column ``col`` as a :class:`Block`: the NULL mask only
+    when some value is NULL, the dictionary only for a dict column."""
+    return Block(
+        vals,
+        nulls if nulls.any() else None,
+        col.dictionary if col.kind == "dict" else None,
+    )
+
+
 class PhysVertexPropRead(Operator):
     """Gather a vertex property into the group of its variable."""
 
@@ -98,11 +107,7 @@ class PhysVertexPropRead(Operator):
 
     def consume(self, group: ListGroup) -> None:
         vals, nulls = self.vcol.get_many(group.blocks[self.var].data)
-        blk = Block(
-            vals,
-            nulls if nulls.any() else None,
-            self.vcol.dictionary if self.vcol.kind == "dict" else None,
-        )
+        blk = _block(self.vcol, vals, nulls)
         self.next.consume(ListGroup({**group.blocks, self.key: blk}, group.size))
 
 
@@ -210,11 +215,7 @@ def _eprop_block_multi(
         vals, nulls = col.get_many(keys)
     else:
         raise TypeError(f"{estore.label.name} has no edge properties")
-    return Block(
-        vals,
-        nulls if nulls is not None and np.any(nulls) else None,
-        col.dictionary if col.kind == "dict" else None,
-    )
+    return _block(col, vals, nulls)
 
 
 def _csr_pieces(csr, block_size: int):
@@ -256,7 +257,7 @@ def _literal_mask(op, blocks, srcs, lens, idx, contig) -> np.ndarray:
 
 
 class PhysExtendFilterCount(Operator):
-    """Fused terminal ListExtend + Filter(s) + count(*).
+    """Terminal CSR extend + Filter(s) on its edge + count(*).
 
     When a plan ends with "extend the last edge, filter on its
     properties, count", LBP can evaluate the whole tail block-at-a-time:
@@ -559,11 +560,16 @@ class PhysChainCount(Operator):
 
 
 class PhysListExtend(Operator):
-    """Join over a CSR, one adjacency list at a time (paper §6.2
-    ListExtend): per input row, a group of that row's blocks repeated
-    over its list, plus the list (a view over the CSR) and its edge
-    properties. Compiled plans fuse it into :class:`PhysBatchExtend` or
-    a count tail."""
+    """Join over a CSR, one adjacency list at a time: per input row, a
+    group of that row's blocks repeated over its list, plus the list (a
+    view over the CSR) and its edge properties.
+
+    :func:`repro.proc.lbp.compile_lbp` never emits it; compiled plans
+    extend with :class:`PhysBatchExtend`. It stays as the per-list
+    reference reader that tests compare the batched reads against, and
+    until the benchmark's tracer (``OPERATORS`` in
+    ``perfbench/tracing.py``) stops looking it up by name.
+    """
 
     def __init__(
         self,
@@ -625,11 +631,7 @@ class PhysColumnExtend(Operator):
             col = self.estore.eprops[prop]
             pv, pn = col.get_many(keys)
             pn = pn | nulls  # no edge -> property NULL
-            blocks[f"{self.edge_var}.{prop}"] = Block(
-                pv,
-                pn if np.any(pn) else None,
-                col.dictionary if col.kind == "dict" else None,
-            )
+            blocks[f"{self.edge_var}.{prop}"] = _block(col, pv, pn)
         return blocks, nulls
 
     def consume(self, group: ListGroup) -> None:
@@ -643,8 +645,9 @@ class PhysColumnExtend(Operator):
 
 
 class PhysBatchExtend(Operator):
-    """Block-at-a-time ListExtend fused with its adjacent property reads
-    and filters.
+    """Block-at-a-time ListExtend with its out-vertex property reads and
+    the filters that follow it (``vprop_reads``, ``preds``: the compiler
+    adds them while it walks the plan).
 
     For a left-deep plan, the paper's ListExtend *flattens* its input
     group and iterates it — i.e., every level but the last gives up its
@@ -668,20 +671,21 @@ class PhysBatchExtend(Operator):
         estore: EdgeStore,
         direction: str,
         eprops: list[str],
-        vprop_reads: list[tuple[str, object]],  # (prop, vcol) of out_var
-        preds: list[Predicate],
         *,
         block_size: int = BLOCK_SIZE,
     ) -> None:
         super().__init__()
         self.src_var, self.out_var, self.edge_var = src_var, out_var, edge_var
-        self.estore, self.direction = estore, direction
-        self.eprops = eprops
-        self.vprop_reads = vprop_reads
-        self.preds = preds
+        self.estore, self.direction, self.eprops = estore, direction, eprops
+        self.vprop_reads: list[tuple[str, object]] = []  # (prop, vcol) of out_var
+        self.preds: list[Predicate] = []
+        self.memos: list[dict] = []  # dictionary masks, this query
         self.block_size = block_size
         self.csr = estore.csr(direction)
-        self.memos = [{} for _ in preds]  # dictionary masks, this query
+
+    def add_pred(self, pred: Predicate) -> None:
+        self.preds.append(pred)
+        self.memos.append({})
 
     def consume(self, group: ListGroup) -> None:
         starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
@@ -702,12 +706,7 @@ class PhysBatchExtend(Operator):
                 self.csr,
             )
         for prop, vcol in self.vprop_reads:
-            vals, nulls = vcol.get_many(nbr)
-            merged[f"{self.out_var}.{prop}"] = Block(
-                vals,
-                nulls if nulls.any() else None,
-                vcol.dictionary if vcol.kind == "dict" else None,
-            )
+            merged[f"{self.out_var}.{prop}"] = _block(vcol, *vcol.get_many(nbr))
         out = ListGroup(merged, len(nbr))
         # Fused predicates, evaluated once over the whole batch.
         mask = None
@@ -763,7 +762,7 @@ class CountSink(Operator):
 
 
 class PhysCountListExtend(Operator):
-    """Fused terminal ListExtend + count(*): the last hop is counted from
+    """Terminal CSR extend + count(*): the last hop is counted from
     adjacency-list lengths without iterating it (aggregation on the
     compressed intermediate representation, §6.2 / Table 5 COUNT rows)."""
 
@@ -779,7 +778,7 @@ class PhysCountListExtend(Operator):
 
 
 class PhysCountColumnExtend(Operator):
-    """Fused terminal ColumnExtend + count(*)."""
+    """Terminal ColumnExtend + count(*)."""
 
     def __init__(self, src_var: str, estore: EdgeStore, direction: str) -> None:
         super().__init__()

@@ -19,7 +19,6 @@ class EdgeColumns:
     def __init__(self, columns: dict[str, VertexColumn], n_edges: int) -> None:
         self.columns = columns  # prop -> column indexed by global edge ID
         self.n_edges = n_edges
-        self.sequential_fwd = False
 
     @classmethod
     def build(
@@ -63,9 +62,6 @@ class EdgeColumns:
         if col.kind == "dict":
             return col.dictionary[int(v)]
         return v
-
-    def read_fwd_range(self, prop: str, start: int, end: int):
-        raise TypeError("edge columns have no sequential direction")
 
     def nbytes(self) -> int:
         return sum(c.nbytes() for c in self.columns.values())

@@ -140,10 +140,7 @@ class EdgeStore:
             self.bwd_kind,
             self.bwd,
         )
-        n = s.nbytes() if kind == "csr" else s.nbytes()
-        if kind == "vcol":
-            n += self.extra_id_bytes
-        return n
+        return s.nbytes() + (self.extra_id_bytes if kind == "vcol" else 0)
 
     def eprop_nbytes(self) -> int:
         if self.eprop_kind is None:

@@ -128,14 +128,6 @@ class VertexColumn:
             return self.dictionary[int(v)]
         return v
 
-    def decode(self, codes: np.ndarray, nulls: np.ndarray) -> np.ndarray:
-        """Decode dict codes to an object array with None at NULLs."""
-        if self.kind != "dict":
-            raise TypeError("decode only applies to dict columns")
-        table = np.append(self.dictionary, None)
-        safe = np.where(nulls, len(self.dictionary), codes).astype(np.int64)
-        return table[safe]
-
     def nbytes(self) -> int:
         total = self.col.nbytes()
         if self.dictionary is not None:

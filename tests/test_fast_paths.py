@@ -154,7 +154,7 @@ class TestBatchExtend:
         from repro.proc.operators import CountSink
 
         es = ldbc_store.edge("knows")
-        ext = PhysBatchExtend("a", "b", None, es, "fwd", [], [], [])
+        ext = PhysBatchExtend("a", "b", None, es, "fwd", [])
         sink = CountSink()
         ext.next = sink
         srcs = np.arange(20, dtype=np.int64)
@@ -170,7 +170,7 @@ class TestBatchExtend:
         from repro.proc.operators import CountSink
 
         es = ldbc_store.edge("knows")
-        ext = PhysBatchExtend("a", "b", None, es, "fwd", [], [], [])
+        ext = PhysBatchExtend("a", "b", None, es, "fwd", [])
         sink = CountSink()
         ext.next = sink
         ext.consume(ListGroup({"a": Block(np.array([2], dtype=np.int64))}, 1))

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+from repro.bench import single_card
+from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec
 from repro.bench.prop_pages import _dataset_params, khop_spec
+from repro.bench.queries_job import JOB_QUERIES
+from repro.bench.queries_ldbc import ALL_LDBC
 from repro.proc.chunk import Block, ListGroup
 from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
+    BLOCK_SIZE,
     CollectSink,
     CountSink,
     PhysBatchExtend,
@@ -167,9 +172,7 @@ class TestBudgetedExtend:
         deg = csr.degrees_of(np.arange(ldbc_store.n_vertices["Person"]))
         v = int(np.argmax(deg))
         assert deg[v] > 6
-        ext = PhysBatchExtend(
-            "a", "b", None, es, "fwd", [], [], [], block_size=3
-        )
+        ext = PhysBatchExtend("a", "b", None, es, "fwd", [], block_size=3)
         sizes, sink = self._sizes_seen(ext)
         ext.consume(ListGroup({"a": Block(np.array([v], dtype=np.int64))}, 1))
         assert sink.count == deg[v]
@@ -259,6 +262,38 @@ class TestFusion:
         tail = chain.hops[-1]
         assert isinstance(tail, PhysExtendFilterCount)
         assert Pr("e1", "date", "<", None, "e2", "date") in tail.preds
+
+
+def test_compiled_plans_never_construct_list_extend(
+    monkeypatch, ldbc, ldbc_store, imdb_store, tiny, tiny_store
+):
+    # compile_lbp emits the operators that run: PhysListExtend is only
+    # the per-list reference reader, never a plan node to rewrite.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("compile_lbp constructed a PhysListExtend")
+
+    monkeypatch.setattr(PhysListExtend, "__init__", refuse)
+    plans = [(ldbc_store, s) for s in ALL_LDBC]
+    plans += [(imdb_store, s) for s in JOB_QUERIES]
+    for data, store in ((ldbc, ldbc_store), (tiny, tiny_store)):
+        elabel, vlabel, prop = _dataset_params(data)
+        for hops in (1, 2, 3):
+            plans += [
+                (store, khop_spec(elabel, vlabel, prop, hops, direction=d))
+                for d in ("fwd", "bwd")
+            ]
+            plans.append((store, khop_filter_spec(elabel, vlabel, prop, hops)))
+            plans.append((store, khop_count_spec(elabel, vlabel, hops)))
+    for cfg in single_card.CONFIGS.values():
+        store = GraphStore.build(ldbc, cfg)
+        plans += [(store, single_card.reply_khop(h)) for h in (1, 2, 3)]
+    for store, spec in plans:
+        for block_size in (3, BLOCK_SIZE):
+            scan, _ = compile_lbp(store, spec, block_size=block_size)
+            op = scan
+            while op is not None:
+                assert not isinstance(op, PhysListExtend), spec.name
+                op = op.next
 
 
 class TestStateRestore:

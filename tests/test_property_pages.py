@@ -107,8 +107,18 @@ class TestEdgeColumns:
         assert list(ids[:20]) != list(range(20))  # not identity order
 
     def test_no_sequential_direction(self):
+        # A forward list's edges hold scattered global IDs, so its
+        # properties are a gather by ID, never a slice of the column.
         rng = np.random.default_rng(7)
-        cols, _ = EdgeColumns.build(EDGE, _etable(rng))
-        assert cols.sequential_fwd is False
-        with pytest.raises(TypeError):
-            cols.read_fwd_range("w", 0, 5)
+        et = _etable(rng)
+        cols, ids = EdgeColumns.build(EDGE, et)
+        assert not hasattr(cols, "read_fwd_range")
+        csr = CSR(10, et["src"].to_numpy(), et["dst"].to_numpy(), edge_ids=ids)
+        runs = 0
+        for v in range(10):
+            s, e = csr.range_of(v)
+            lids = csr.edge_ids[s:e].astype(np.int64)
+            runs += bool((np.diff(lids) == 1).all())
+            vals, _, _ = cols.read_at("w", lids)
+            assert list(vals.astype(int)) == et[et.src == v]["w"].tolist()
+        assert runs < 10

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.proc.chunk import Block
 from repro.storage.vertex_column import VertexColumn
 
 MODES = ["uncompressed", "jacobson"]
@@ -28,7 +29,7 @@ def test_categorical_dict_column(mode):
     assert col.kind == "dict"
     assert set(col.dictionary) == {"m", "f"}
     codes, nulls = col.get_many(np.arange(4))
-    decoded = col.decode(codes, nulls)
+    decoded = Block(codes, nulls, col.dictionary).decoded()
     assert list(decoded) == ["m", "f", None, "m"]
     assert col.get_one(0) == "m" and col.get_one(2) is None
 
@@ -58,12 +59,6 @@ def test_single_cardinality_edge_column(zero_suppress, mode):
         assert col.col.values.dtype == np.uint16
     vals, nulls = col.get_many(np.arange(6))
     assert list(nulls) == [True, False, True, False, True, True]
-
-
-def test_decode_requires_dict_kind():
-    col = VertexColumn.from_series(pd.Series([1.0, 2.0]), "int64")
-    with pytest.raises(TypeError):
-        col.decode(np.array([0]), np.array([False]))
 
 
 def test_dictionary_saves_bytes_on_low_cardinality():
