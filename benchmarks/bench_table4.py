@@ -1,20 +1,10 @@
 """Table 4 benchmark: vertex columns vs CSR for single-cardinality
 edges (§8.4)."""
-import pytest
-
-from repro.bench.record import record
-from repro.bench.single_card import format_table4, table4
-from repro.graphs.datasets import ldbc_lite
+from repro.bench.record import record_run
 
 
 def test_table4_single_card(benchmark, spark):
-    data = ldbc_lite(sf=1.0)
-
-    def run():
-        return table4(data, repeats=2)
-
-    df = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("table4", format_table4(df))
+    df = record_run(benchmark, spark, "table4")
     # Shape: V-COL beats CSR on memory in both compression settings,
     # and NULL compression shrinks the half-empty replyOf storage.
     assert df.loc["V-COL-UNC", "mem_bytes"] < df.loc["CSR-UNC", "mem_bytes"]

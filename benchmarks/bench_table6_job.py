@@ -1,22 +1,8 @@
 """Table 6c benchmark: the 33 JOB queries across the five systems (§8.7.2)."""
-import pytest
-
-from repro.bench.baselines import Table6Harness, format_table6
-from repro.bench.queries_job import JOB_QUERIES
-from repro.bench.record import record
-from repro.graphs.datasets import imdb_lite
-
-SF = 0.1
+from repro.bench.record import record_run
 
 
 def test_table6c_job(benchmark, spark):
-    h = Table6Harness(imdb_lite(sf=SF), spark=spark)
-    try:
-        df = benchmark.pedantic(
-            lambda: h.run(JOB_QUERIES, repeats=1), rounds=1, iterations=1
-        )
-    finally:
-        h.close()
-    record("table6c_job", format_table6(df, "c: JOB"))
+    df = record_run(benchmark, spark, "table6c_job")
     # Shape: GF-CL beats GF-RV on median across the star-join workload.
     assert df["GF-CL_vs_GF-RV"].median() > 1.0

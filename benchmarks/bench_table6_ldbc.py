@@ -1,33 +1,13 @@
 """Tables 6a/6b benchmark: LDBC IS + IC across the five systems (§8.7.1)."""
-import pytest
-
-from repro.bench.baselines import Table6Harness, format_table6
-from repro.bench.queries_ldbc import IC_QUERIES, IS_QUERIES
-from repro.bench.record import record
-from repro.graphs.datasets import ldbc_lite
-
-SF = 0.1
+from repro.bench.record import record_run
 
 
-@pytest.fixture(scope="module")
-def harness(spark):
-    h = Table6Harness(ldbc_lite(sf=SF), spark=spark)
-    yield h
-    h.close()
+def test_table6a_ldbc_is(benchmark, spark):
+    record_run(benchmark, spark, "table6a_ldbc_is")
 
 
-def test_table6a_ldbc_is(benchmark, harness):
-    df = benchmark.pedantic(
-        lambda: harness.run(IS_QUERIES, repeats=2), rounds=1, iterations=1
-    )
-    record("table6a_ldbc_is", format_table6(df, "a: LDBC IS"))
-
-
-def test_table6b_ldbc_ic(benchmark, harness):
-    df = benchmark.pedantic(
-        lambda: harness.run(IC_QUERIES, repeats=2), rounds=1, iterations=1
-    )
-    record("table6b_ldbc_ic", format_table6(df, "b: LDBC IC"))
+def test_table6b_ldbc_ic(benchmark, spark):
+    df = record_run(benchmark, spark, "table6b_ldbc_ic")
     # Shape assertion: GF-CL beats GF-RV on median (the paper's headline
     # Table 6 claim). Other ratios are reported, not asserted — the
     # cross-runtime and pointer-chasing contrasts do not transfer to a

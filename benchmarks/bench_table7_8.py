@@ -1,27 +1,10 @@
 """Tables 7/8 benchmark: Jacobson (c, m) sensitivity; §8.5 scheme
 comparison; Fig 12 k sweep as a table."""
-import pytest
-
-from repro.bench.record import record
-from repro.bench.sensitivity import (
-    k_sweep,
-    table7,
-    table7_extremes,
-    table8,
-)
-from repro.graphs.datasets import wiki_like
+from repro.bench.record import record_run
 
 
 def test_table7_cm_runtime(benchmark, spark):
-    df = benchmark.pedantic(
-        lambda: table7(sf=0.5, repeats=5), rounds=1, iterations=1
-    )
-    piv = df.pivot_table(index="rho", columns=["c", "m"], values="ms")
-    record(
-        "table7",
-        "Table 7 — 1-hop read runtime (ms) per (c, m) and non-NULL rho\n"
-        + piv.round(2).to_string(),
-    )
+    df = record_run(benchmark, spark, "table7")
     # Shape: runtime is insensitive to (c, m). We check spread away from
     # the extremes (rho=100 hits the dense fast path that skips ranks
     # entirely; sub-ms cells at tiny rho are noise-dominated).
@@ -33,21 +16,13 @@ def test_table7_cm_runtime(benchmark, spark):
 
 
 def test_table7_scheme_extremes(benchmark, spark):
-    df = benchmark.pedantic(
-        lambda: table7_extremes(sf=0.2), rounds=1, iterations=1
-    )
-    record("table7_schemes", df.round(2).to_string())
+    df = record_run(benchmark, spark, "table7_schemes")
     # Paper §8.5: Vanilla-NULL is >20x slower than J-NULL.
     assert df.loc["Vanilla-NULL", "ms"] > 20 * df.loc["J-NULL", "ms"]
 
 
 def test_table8_cm_memory(benchmark, spark):
-    df = benchmark.pedantic(lambda: table8(sf=0.2), rounds=1, iterations=1)
-    record(
-        "table8",
-        "Table 8 — overhead of bit strings + prefix sums per (c, m)\n"
-        + df.round(3).to_string(index=False),
-    )
+    df = record_run(benchmark, spark, "table8")
     d = df.set_index(["c", "m"])["overhead_bytes"]
     # Paper Table 8 shape: overhead ~ m/c; (8,8) ≈ (16,16); max at (8,32).
     assert abs(d[(8, 8)] - d[(16, 16)]) / d[(16, 16)] < 0.3
@@ -56,13 +31,7 @@ def test_table8_cm_memory(benchmark, spark):
 
 
 def test_fig12_k_sweep(benchmark, spark):
-    data = wiki_like(sf=2.0)
-    df = benchmark.pedantic(
-        lambda: k_sweep(data, ks=(2, 8, 32, 128, 512, 2048), repeats=2),
-        rounds=1,
-        iterations=1,
-    )
-    record("fig12_k_sweep", df.to_string(index=False))
+    df = record_run(benchmark, spark, "fig12_k_sweep")
     # Shape: k=128 is no slower than pure edge columns ('*').
     t = dict(zip(df["k"], df["seconds"]))
     assert t["128"] < t["*"]

@@ -25,8 +25,11 @@ from __future__ import annotations
 import duckdb
 import pandas as pd
 
+from repro.bench.queries_job import JOB_QUERIES
+from repro.bench.queries_ldbc import IC_QUERIES, IS_QUERIES
 from repro.bench.record import best_of
 from repro.graphs.data import GraphData
+from repro.graphs.datasets import imdb_lite, ldbc_lite
 from repro.proc.lbp import run_lbp_df, scan_bounds
 from repro.proc.plan import QuerySpec, to_sql
 from repro.proc.volcano import ColumnarAdapter, run_volcano_df
@@ -139,3 +142,32 @@ def format_table6(df: pd.DataFrame, title: str) -> str:
                     for k, v in med.items())
     )
     return "\n".join(lines)
+
+
+def _table6_on(data: GraphData, queries, title: str, spark, repeats: int):
+    h = Table6Harness(data, spark=spark)
+    try:
+        df = h.run(queries, repeats=repeats)
+    finally:
+        h.close()
+    return df, format_table6(df, title)
+
+
+def table6a_ldbc_is(spark=None, scale: float = 1.0):
+    """Table 6a: LDBC IS on ``ldbc_lite`` at SF 0.1, best of 2; with
+    Spark SQL and a Spark-built store when ``spark`` is given."""
+    return _table6_on(
+        ldbc_lite(sf=0.1 * scale), IS_QUERIES, "a: LDBC IS", spark, 2
+    )
+
+
+def table6b_ldbc_ic(spark=None, scale: float = 1.0):
+    """Table 6b: LDBC IC on ``ldbc_lite`` at SF 0.1, best of 2."""
+    return _table6_on(
+        ldbc_lite(sf=0.1 * scale), IC_QUERIES, "b: LDBC IC", spark, 2
+    )
+
+
+def table6c_job(spark=None, scale: float = 1.0):
+    """Table 6c: JOB on ``imdb_lite`` at SF 0.1, one run per query."""
+    return _table6_on(imdb_lite(sf=0.1 * scale), JOB_QUERIES, "c: JOB", spark, 1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.graphs.data import GraphData
+from repro.graphs.datasets import flickr_like, ldbc_lite, wiki_like
 from repro.proc.lbp import run_lbp
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
@@ -55,17 +56,13 @@ def khop_count_spec(elabel, vlabel, hops) -> QuerySpec:
     )
 
 
-def table5(
-    datasets: dict[str, GraphData],
-    *,
-    spark=None,
-    hops=(1, 2, 3),
-    repeats: int = 1,
+def lbp_vs_volcano(
+    datasets: dict[str, GraphData], *, hops=(1, 2, 3), repeats: int = 1
 ) -> pd.DataFrame:
     rows = []
     for ds_name, data in datasets.items():
         elabel, vlabel, prop = _dataset_params(data)
-        store = GraphStore.build(data, StorageConfig.gf_cl(), spark=spark)
+        store = GraphStore.build(data, StorageConfig.gf_cl())
         adapter = ColumnarAdapter(store)
         for workload in ("FILTER", "COUNT(*)"):
             for h in hops:
@@ -100,3 +97,14 @@ def format_table5(df: pd.DataFrame) -> str:
     )
     lines.append(piv.round(4).to_string())
     return "\n".join(lines)
+
+
+def table5(spark=None, scale: float = 1.0):
+    """Table 5 on LDBC at SF 0.08, WIKI at 0.02 and FLICKR at 0.05, 1–3
+    hops, one run per cell; stores built locally."""
+    df = lbp_vs_volcano({
+        "LDBC": ldbc_lite(sf=0.08 * scale),
+        "WIKI": wiki_like(sf=0.02 * scale),
+        "FLICKR": flickr_like(sf=0.05 * scale),
+    })
+    return df, format_table5(df)

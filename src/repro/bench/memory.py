@@ -10,6 +10,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.graphs.data import GraphData
+from repro.graphs.datasets import imdb_lite, ldbc_lite
 from repro.storage.graph_store import GraphStore, StorageConfig
 from repro.storage.rv_model import rv_memory_report
 
@@ -50,3 +51,18 @@ def format_table2(df: pd.DataFrame, title: str) -> str:
         w[[c for c in w.columns if c.endswith("×")]].to_string()
     )
     return "\n".join(lines)
+
+
+def _table2_on(make, sf: float, spark):
+    df = table2(make(sf=sf), spark=spark)
+    return df, format_table2(df, f"{make.__name__} sf={sf:g}")
+
+
+def table2_ldbc(spark=None, scale: float = 1.0):
+    """Table 2 on ``ldbc_lite`` at SF 0.3, stores built through Spark."""
+    return _table2_on(ldbc_lite, 0.3 * scale, spark)
+
+
+def table2_imdb(spark=None, scale: float = 1.0):
+    """Table 2 on ``imdb_lite`` at SF 0.3, stores built through Spark."""
+    return _table2_on(imdb_lite, 0.3 * scale, spark)

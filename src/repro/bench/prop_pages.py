@@ -14,6 +14,7 @@ import pandas as pd
 
 from repro.bench.record import best_of
 from repro.graphs.data import GraphData
+from repro.graphs.datasets import flickr_like, ldbc_lite, wiki_like
 from repro.proc.lbp import run_lbp
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
@@ -31,7 +32,6 @@ def khop_spec(
     *,
     direction: str = "fwd",
     name: str = "khop",
-    src_pred=None,
 ) -> QuerySpec:
     """k-hop path over one edge label: the first edge's property is
     compared to a constant, each later edge's to the previous edge's
@@ -44,8 +44,6 @@ def khop_spec(
     for i in range(2, hops + 1):
         preds.append(Pr(f"e{i}", prop, ">", value=None,
                         rhs_var=f"e{i - 1}", rhs_prop=prop))
-    if src_pred is not None:
-        preds.insert(0, src_pred)
     order = vars_ if direction == "fwd" else list(reversed(vars_))
     return QuerySpec(
         name,
@@ -64,8 +62,8 @@ def _dataset_params(data: GraphData):
     return "link", "node", "timestamp"
 
 
-def table3(
-    datasets: dict[str, GraphData], *, spark=None, repeats: int = 1
+def pages_vs_columns(
+    datasets: dict[str, GraphData], *, repeats: int = 1
 ) -> pd.DataFrame:
     """Rows: (dataset, plan P_F/P_B, config, hop) → seconds and count."""
     rows = []
@@ -73,11 +71,10 @@ def table3(
         elabel, vlabel, prop = _dataset_params(data)
         stores = {
             "PAGE_P": GraphStore.build(
-                data, StorageConfig(edge_prop_storage="pages"), spark=spark
+                data, StorageConfig(edge_prop_storage="pages")
             ),
             "COL_E": GraphStore.build(
-                data, StorageConfig(edge_prop_storage="edge_columns"),
-                spark=spark,
+                data, StorageConfig(edge_prop_storage="edge_columns")
             ),
         }
         for hops in (1, 2):
@@ -113,3 +110,14 @@ def format_table3(df: pd.DataFrame) -> str:
             )
     lines.append("\n".join(speed))
     return "\n".join(lines)
+
+
+def table3(spark=None, scale: float = 1.0):
+    """Table 3 on LDBC at SF 2 and WIKI and FLICKR at SF 3, best of 2
+    runs per cell; stores built locally."""
+    df = pages_vs_columns({
+        "LDBC": ldbc_lite(sf=2.0 * scale),
+        "WIKI": wiki_like(sf=3.0 * scale),
+        "FLICKR": flickr_like(sf=3.0 * scale),
+    }, repeats=2)
+    return df, format_table3(df)

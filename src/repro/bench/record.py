@@ -2,7 +2,7 @@
 
 Every harness times a cell with :func:`best_of`. Each benchmark writes
 the paper-style formatted table both to stdout (visible in
-``bench_output.txt``) and to ``benchmarks/out/<name>.txt`` so
+``bench_output.txt``) and to ``benchmarks/out/<stem>.txt`` so
 EXPERIMENTS.md can reference exact measured numbers.
 """
 from __future__ import annotations
@@ -10,13 +10,22 @@ from __future__ import annotations
 import pathlib
 import time
 
+from repro.bench import run
+
 OUT_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "out"
 
 
-def record(name: str, text: str) -> None:
+def record_run(benchmark, spark, stem: str):
+    """Run ``stem``'s workload once under pytest-benchmark's
+    ``benchmark`` fixture, write its table to ``benchmarks/out`` and
+    return its frame for the bench's shape checks."""
+    df, text = benchmark.pedantic(
+        run, args=(stem, spark), rounds=1, iterations=1
+    )
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
-    print(f"\n===== {name} =====\n{text}\n", flush=True)
+    (OUT_DIR / f"{stem}.txt").write_text(text + "\n")
+    print(f"\n===== {stem} =====\n{text}\n", flush=True)
+    return df
 
 
 def best_of(repeats: int, fn):

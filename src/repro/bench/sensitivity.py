@@ -16,9 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.bench.prop_pages import _dataset_params, khop_spec
 from repro.bench.record import best_of
 from repro.graphs.data import GraphData
-from repro.graphs.datasets import ldbc_lite
+from repro.graphs.datasets import ldbc_lite, wiki_like
+from repro.proc.lbp import run_lbp
+from repro.storage.graph_store import GraphStore, StorageConfig
 from repro.storage.null_compression import NullableColumn
 
 CM_GRID = [(8, 8), (8, 16), (8, 24), (8, 32), (16, 8), (16, 16), (16, 24), (16, 32)]
@@ -42,8 +45,8 @@ def _column(values: np.ndarray, mask: np.ndarray, c: int, m: int, mode: str):
     return NullableColumn(values, mask, mode=mode, c=c, m=m)
 
 
-def table7(
-    *, sf: float = 0.05, rhos=(100, 90, 80, 70, 60, 50, 40, 30, 20, 10),
+def cm_runtime(
+    *, sf: float, rhos=(100, 90, 80, 70, 60, 50, 40, 30, 20, 10),
     repeats: int = 3, seed: int = 42, block: int = 1024,
 ) -> pd.DataFrame:
     """Runtime (ms) of the 1-hop read per (c, m) and non-NULL ρ."""
@@ -65,7 +68,7 @@ def table7(
 
 
 def table7_extremes(
-    *, sf: float = 0.05, rho: int = 50, seed: int = 42, block: int = 1024,
+    *, sf: float, rho: int = 50, seed: int = 42, block: int = 1024,
     repeats: int = 3,
 ) -> pd.DataFrame:
     """The §8.5 three-way comparison at one density: Uncompressed vs
@@ -96,7 +99,7 @@ def table7_extremes(
     return pd.DataFrame(rows).set_index("scheme")
 
 
-def table8(*, sf: float = 0.05, rho: int = 50, seed: int = 42) -> pd.DataFrame:
+def cm_overhead(*, sf: float, rho: int = 50, seed: int = 42) -> pd.DataFrame:
     """Overhead (bytes) of bit strings + prefix sums per (c, m)."""
     base = ldbc_lite(sf=sf, seed=seed)
     n_comment = base.n_vertices("Comment")
@@ -114,16 +117,9 @@ def table8(*, sf: float = 0.05, rho: int = 50, seed: int = 42) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def k_sweep(
-    data: GraphData, *, ks=(2, 8, 32, 128, 512, 2048, 8192), repeats: int = 1,
-    spark=None,
-) -> pd.DataFrame:
+def k_sweep(data: GraphData, *, ks, repeats: int = 1) -> pd.DataFrame:
     """Fig 12 as a table: Table 3's 1-hop forward query across page sizes
     k, with '*' = pure edge columns (k = ∞)."""
-    from repro.bench.prop_pages import khop_spec, _dataset_params
-    from repro.proc.lbp import run_lbp
-    from repro.storage.graph_store import GraphStore, StorageConfig
-
     elabel, vlabel, prop = _dataset_params(data)
     spec = khop_spec(elabel, vlabel, prop, 1, direction="fwd", name="k-sweep")
     rows = []
@@ -133,7 +129,47 @@ def k_sweep(
             if k == "*"
             else StorageConfig(k=int(k))
         )
-        store = GraphStore.build(data, cfg, spark=spark)
+        store = GraphStore.build(data, cfg)
         best, _ = best_of(repeats, lambda: run_lbp(store, spec))
         rows.append({"k": str(k), "seconds": best})
     return pd.DataFrame(rows)
+
+
+def table7(spark=None, scale: float = 1.0):
+    """Table 7 at SF 0.5, best of 5 runs per cell."""
+    df = cm_runtime(sf=0.5 * scale, repeats=5)
+    piv = df.pivot_table(index="rho", columns=["c", "m"], values="ms")
+    return df, (
+        "Table 7 — 1-hop read runtime (ms) per (c, m) and non-NULL rho\n"
+        + piv.round(2).to_string()
+    )
+
+
+def table7_schemes(spark=None, scale: float = 1.0):
+    """The §8.5 scheme comparison at SF 0.2, best of 3."""
+    df = table7_extremes(sf=0.2 * scale)
+    return df, (
+        "§8.5 NULL schemes — 1-hop read runtime (ms) at rho=50 "
+        "(Vanilla sampled and scaled)\n" + df.round(2).to_string()
+    )
+
+
+def table8(spark=None, scale: float = 1.0):
+    """Table 8 at SF 0.2."""
+    df = cm_overhead(sf=0.2 * scale)
+    return df, (
+        "Table 8 — overhead of bit strings + prefix sums per (c, m)\n"
+        + df.round(3).to_string(index=False)
+    )
+
+
+def fig12_k_sweep(spark=None, scale: float = 1.0):
+    """Fig 12 on WIKI at SF 2 for six k values, best of 2; stores built
+    locally."""
+    df = k_sweep(
+        wiki_like(sf=2.0 * scale), ks=(2, 8, 32, 128, 512, 2048), repeats=2
+    )
+    return df, (
+        "Fig 12 (as a table) — WIKI 1-hop forward runtime (s) per page "
+        "size k ('*' = edge columns)\n" + df.to_string(index=False)
+    )

@@ -11,6 +11,7 @@ import pandas as pd
 
 from repro.bench.record import best_of
 from repro.graphs.data import GraphData
+from repro.graphs.datasets import ldbc_lite
 from repro.proc.lbp import run_lbp
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
@@ -36,10 +37,10 @@ def reply_khop(hops: int) -> QuerySpec:
     )
 
 
-def table4(data: GraphData, *, spark=None, repeats: int = 1) -> pd.DataFrame:
+def vcol_vs_csr(data: GraphData, *, repeats: int = 1) -> pd.DataFrame:
     rows = []
     for cfg_name, cfg in CONFIGS.items():
-        store = GraphStore.build(data, cfg, spark=spark)
+        store = GraphStore.build(data, cfg)
         es = store.edge("replyOf")
         mem = es.adj_nbytes("fwd") + es.adj_nbytes("bwd")
         row = {"config": cfg_name, "mem_bytes": mem}
@@ -64,3 +65,10 @@ def format_table4(df: pd.DataFrame) -> str:
         facts.append(f"mem {csr['mem_bytes'] / vc['mem_bytes']:.2f}x")
         lines.append(f"CSR-{suffix} / V-COL-{suffix}: " + ", ".join(facts))
     return "\n".join(lines)
+
+
+def table4(spark=None, scale: float = 1.0):
+    """Table 4 on ``ldbc_lite`` at SF 1, best of 2 runs per cell; stores
+    built locally."""
+    df = vcol_vs_csr(ldbc_lite(sf=1.0 * scale), repeats=2)
+    return df, format_table4(df)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.schema import GraphSchema
 
@@ -50,24 +49,8 @@ class GraphData:
     def n_vertices(self, label: str) -> int:
         return len(self.vtables[label])
 
-    def spark_vertices(self, spark: SparkSession, label: str) -> DataFrame:
-        return spark.createDataFrame(self.vtables[label])
-
-    def spark_edges(self, spark: SparkSession, label: str) -> DataFrame:
-        return spark.createDataFrame(self.etables[label])
-
     def sql_tables(self) -> dict[str, pd.DataFrame]:
         """All tables under their SQL names, for the DuckDB oracle."""
         out = {f"v_{k}": v for k, v in self.vtables.items()}
         out.update({f"e_{k}": v for k, v in self.etables.items()})
         return out
-
-    def register_spark_views(self, spark: SparkSession) -> None:
-        """Register every table as a temp view (the Spark SQL baseline)."""
-        for name, pdf in self.sql_tables().items():
-            spark.createDataFrame(pdf).createOrReplaceTempView(name)
-
-    def totals(self) -> tuple[int, int]:
-        nv = sum(len(t) for t in self.vtables.values())
-        ne = sum(len(t) for t in self.etables.values())
-        return nv, ne

@@ -59,9 +59,6 @@ class QuerySpec:
                 return e
         raise KeyError(evar)
 
-    def is_edge_var(self, var: str) -> bool:
-        return var not in self.vertices and any(e.var == var for e in self.edges)
-
 
 # -- logical plan -------------------------------------------------------------
 
@@ -180,6 +177,13 @@ def _pred_sql(spec: QuerySpec, p: Predicate, alias: dict[str, str]) -> str:
     lhs = f"{alias[p.var]}.{p.prop}"
     if p.rhs_var is not None:
         rhs = f"{alias[p.rhs_var]}.{p.rhs_prop}"
+        # Both agree with scalar_op on an empty rhs (true) and on NULL.
+        if p.op == "contains":
+            return f"position({rhs} IN {lhs}) > 0"
+        if p.op == "startswith":
+            return f"substr({lhs}, 1, length({rhs})) = {rhs}"
+        if p.op == "in":
+            raise ValueError(f"IN takes a literal list, not {rhs}")
         return f"{lhs} {p.op} {rhs}"
     if p.op == "contains":
         return f"{lhs} LIKE {_sql_literal('%' + _like_pattern(str(p.value)) + '%')}"

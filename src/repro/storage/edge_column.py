@@ -15,6 +15,10 @@ from repro.graphs.schema import EdgeLabel
 from repro.storage.vertex_column import VertexColumn
 
 
+#: Seed of the random edge-ID order, fixed so builds are reproducible.
+_ID_SEED = 7
+
+
 class EdgeColumns:
     def __init__(self, columns: dict[str, VertexColumn], n_edges: int) -> None:
         self.columns = columns  # prop -> column indexed by global edge ID
@@ -26,12 +30,11 @@ class EdgeColumns:
         edge: EdgeLabel,
         etable: pd.DataFrame,
         *,
-        seed: int = 7,
         null_mode: str = "uncompressed",
     ) -> tuple["EdgeColumns", np.ndarray]:
         """Build columns plus the per-edge global IDs in original row order."""
         n = len(etable)
-        g = np.random.default_rng(seed)
+        g = np.random.default_rng(_ID_SEED)
         ids = g.permutation(n).astype(np.int64)  # row i gets edge ID ids[i]
         inv = np.empty(n, dtype=np.int64)
         inv[ids] = np.arange(n)  # edge ID e was row inv[e]
@@ -55,13 +58,7 @@ class EdgeColumns:
 
     def read_one(self, prop: str, edge_id: int):
         """Scalar read by global edge ID — the Volcano path."""
-        col = self.columns[prop]
-        v = col.col.get_one(int(edge_id))
-        if v is None:
-            return None
-        if col.kind == "dict":
-            return col.dictionary[int(v)]
-        return v
+        return self.columns[prop].get_one(edge_id)
 
     def nbytes(self) -> int:
         return sum(c.nbytes() for c in self.columns.values())

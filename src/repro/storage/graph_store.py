@@ -49,8 +49,6 @@ class StorageConfig:
     k: int = 128  # property-page size (lists per page)
     edge_prop_storage: str = "pages"  # 'pages' | 'edge_columns' (Table 3)
     single_card_as_vcol: bool = True  # False → CSR even for n-1/1-n (Table 4)
-    null_c: int = 16
-    null_m: int = 16
 
     @classmethod
     def gf_cl(cls) -> "StorageConfig":
@@ -174,13 +172,12 @@ class GraphStore:
     ) -> "GraphStore":
         config = config or StorageConfig.gf_cl()
         store = cls(data, config)
-        nm, c, m = config.null_mode, config.null_c, config.null_m
         for name, vl in data.schema.vertices.items():
             t = data.vtables[name]
             store.vprops[name] = {
                 p.name: VertexColumn.from_series(
                     t[p.name], p.dtype, categorical=p.categorical,
-                    null_mode=nm, c=c, m=m,
+                    null_mode=config.null_mode,
                 )
                 for p in vl.props
             }
@@ -264,8 +261,6 @@ class GraphStore:
                 values,
                 zero_suppress=cfg.zero_suppress,
                 null_mode=cfg.null_mode,
-                c=cfg.null_c,
-                m=cfg.null_m,
             )
 
         fwd = make_vcol(n_src, src, dst) if fwd_vcol else make_csr(n_src, src, dst)
@@ -287,7 +282,6 @@ class GraphStore:
     ) -> dict[str, VertexColumn]:
         """Single-cardinality edge properties as vertex columns of the keyed
         endpoint: value at offset o = the property of o's unique edge."""
-        cfg = self.config
         pos = et[key].to_numpy(dtype=np.int64)
         out = {}
         for p in el.props:
@@ -297,7 +291,7 @@ class GraphStore:
                 series = pd.to_numeric(series)
             out[p.name] = VertexColumn.from_series(
                 series, p.dtype, categorical=p.categorical,
-                null_mode=cfg.null_mode, c=cfg.null_c, m=cfg.null_m,
+                null_mode=self.config.null_mode,
             )
         return out
 

@@ -89,9 +89,9 @@ class JacobsonIndex:
         self.block_base = csum[
             np.minimum(np.arange(n_blocks) * words_per_block, n_words)
         ].astype(np.int64)
-        within = csum[:n_words] - np.repeat(
-            self.block_base, words_per_block
-        )[:n_words]
+        within = csum[:n_words] - self.block_base[
+            np.arange(n_words) // words_per_block
+        ]
         ps_dtype = {8: np.uint8, 16: np.uint16, 24: np.uint32, 32: np.uint32}[m]
         self.prefix_sums = within.astype(ps_dtype)
         self._words_per_block = words_per_block
@@ -146,13 +146,11 @@ class JacobsonIndex:
             + word_before.bit_count()
         )
 
-    def overhead_bytes(self, *, include_map: bool = False) -> int:
-        """Bit-exact overhead: n·(1 + m/c) bits (+ the shared 2^c·c map)."""
+    def overhead_bytes(self) -> int:
+        """Bit-exact overhead: n·(1 + m/c) bits; the 2^c·c map is shared
+        by every index of the same c and not counted."""
         bits = len(self.words) * self.c + len(self.prefix_sums) * self.m
-        total = -(-bits // 8) + self.block_base.nbytes
-        if include_map:
-            total += (1 << self.c) * self.c
-        return total
+        return -(-bits // 8) + self.block_base.nbytes
 
 
 class VanillaBitIndex:

@@ -130,13 +130,7 @@ class PropertyPages:
 
     def read_one(self, prop: str, addr: int):
         """Scalar read by page position — the Volcano path."""
-        col = self.columns[prop]
-        v = col.col.get_one(int(addr))
-        if v is None:
-            return None
-        if col.kind == "dict":
-            return col.dictionary[int(v)]
-        return v
+        return self.columns[prop].get_one(addr)
 
     def nbytes(self) -> int:
         # page_starts is the per-page base table; slot arrays live in the

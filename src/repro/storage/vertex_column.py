@@ -59,8 +59,6 @@ class VertexColumn:
         *,
         categorical: bool = False,
         null_mode: str = "uncompressed",
-        c: int = 16,
-        m: int = 16,
     ) -> "VertexColumn":
         """Build from a pandas column; NaN/None are NULL."""
         if dtype == "str":
@@ -70,15 +68,14 @@ class VertexColumn:
                 dc = DictionaryColumn.encode(vals)
                 codes = dc.codes.astype(np.int64)
                 col = NullableColumn(
-                    suppress(np.where(mask, codes, 0)), mask,
-                    mode=null_mode, c=c, m=m,
+                    suppress(np.where(mask, codes, 0)), mask, mode=null_mode
                 )
                 return cls("dict", col, dc.values)
             clean = np.array(
                 [v if (v is not None and v == v) else None for v in vals],
                 dtype=object,
             )
-            return cls("str", NullableColumn(clean, mask, mode=null_mode, c=c, m=m))
+            return cls("str", NullableColumn(clean, mask, mode=null_mode))
         mask = series.notna().to_numpy()
         np_dtype = _NUMERIC[dtype]
         raw = series.to_numpy(dtype=object, copy=True)
@@ -86,7 +83,7 @@ class VertexColumn:
         vals = raw.astype(np_dtype)
         is_sorted = bool(mask.all() and (vals[1:] >= vals[:-1]).all())
         return cls(
-            "numeric", NullableColumn(vals, mask, mode=null_mode, c=c, m=m),
+            "numeric", NullableColumn(vals, mask, mode=null_mode),
             is_sorted=is_sorted,
         )
 
@@ -99,8 +96,6 @@ class VertexColumn:
         *,
         zero_suppress: bool = True,
         null_mode: str = "uncompressed",
-        c: int = 16,
-        m: int = 16,
     ) -> "VertexColumn":
         """A single-cardinality edge column: ``values[positions[i]]`` is the
         neighbour offset of vertex ``positions[i]``; other vertices have no
@@ -110,7 +105,7 @@ class VertexColumn:
         mask[np.asarray(positions, dtype=np.int64)] = True
         full[np.asarray(positions, dtype=np.int64)] = np.asarray(values)
         stored = suppress(full) if zero_suppress else full
-        return cls("numeric", NullableColumn(stored, mask, mode=null_mode, c=c, m=m))
+        return cls("numeric", NullableColumn(stored, mask, mode=null_mode))
 
     # -- access ------------------------------------------------------------
 

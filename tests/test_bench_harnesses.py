@@ -2,16 +2,16 @@
 import numpy as np
 import pytest
 
-from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec, table5
+from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec, lbp_vs_volcano
 from repro.bench.memory import COMPONENTS, format_table2, table2, table2_with_factors
-from repro.bench.prop_pages import table3, format_table3
-from repro.bench.single_card import CONFIGS, format_table4, reply_khop, table4
+from repro.bench.prop_pages import format_table3, pages_vs_columns
+from repro.bench.single_card import CONFIGS, format_table4, reply_khop, vcol_vs_csr
 from repro.bench.sensitivity import (
     CM_GRID,
+    cm_overhead,
+    cm_runtime,
     k_sweep,
-    table7,
     table7_extremes,
-    table8,
 )
 
 
@@ -40,28 +40,28 @@ class TestTable2:
 
 class TestTable3:
     def test_harness_rows(self, wiki):
-        df = table3({"WIKI": wiki})
+        df = pages_vs_columns({"WIKI": wiki})
         assert len(df) == 8  # 2 hops x 2 plans x 2 configs
         assert set(df.config) == {"PAGE_P", "COL_E"}
         assert (df["seconds"] > 0).all()
         assert "Table 3" in format_table3(df)
 
     def test_counts_agree_across_configs(self, wiki):
-        df = table3({"WIKI": wiki})
+        df = pages_vs_columns({"WIKI": wiki})
         for (_, _, h), grp in df.groupby(["dataset", "plan", "hops"]):
             assert grp["count"].nunique() == 1
 
 
 class TestTable4:
     def test_configs_and_counts(self, ldbc):
-        df = table4(ldbc)
+        df = vcol_vs_csr(ldbc)
         assert set(df.index) == set(CONFIGS)
         for h in (1, 2, 3):
             assert df[f"{h}-hop_count"].nunique() == 1  # same answers
         assert "Table 4" in format_table4(df)
 
     def test_vcol_smaller_than_csr(self, ldbc_mid):
-        df = table4(ldbc_mid)
+        df = vcol_vs_csr(ldbc_mid)
         assert df.loc["V-COL-UNC", "mem_bytes"] < df.loc["CSR-UNC", "mem_bytes"]
         assert df.loc["V-COL-C", "mem_bytes"] < df.loc["CSR-C", "mem_bytes"]
         # NULL compression shrinks the half-empty replyOf storage.
@@ -74,7 +74,7 @@ class TestTable4:
 
 class TestTable5:
     def test_systems_agree_and_lbp_wins(self, ldbc):
-        df = table5({"LDBC": ldbc}, hops=(1, 2))
+        df = lbp_vs_volcano({"LDBC": ldbc}, hops=(1, 2))
         assert len(df) == 4
         assert (df["count"] >= 0).all()
         # LBP should win the 2-hop workloads even at tiny scale.
@@ -90,12 +90,12 @@ class TestTable5:
 
 class TestSensitivity:
     def test_table7_grid(self):
-        df = table7(sf=0.01, rhos=(100, 50), repeats=1)
+        df = cm_runtime(sf=0.01, rhos=(100, 50), repeats=1)
         assert len(df) == 2 * len(CM_GRID)
         assert (df["ms"] > 0).all()
 
     def test_table8_overhead_ordering(self):
-        df = table8(sf=0.02)
+        df = cm_overhead(sf=0.02)
         df = df.set_index(["c", "m"])
         # Overhead grows with m at fixed c; (8,8) ~ (16,16) (both m/c = 1).
         assert df.loc[(16, 8), "overhead_bytes"] < df.loc[(16, 32), "overhead_bytes"]

@@ -115,23 +115,6 @@ class TestGraphDataHelpers:
         tables = ldbc.sql_tables()
         assert "v_Person" in tables and "e_knows" in tables
 
-    def test_totals(self, ldbc):
-        nv, ne = ldbc.totals()
-        assert nv > 0 and ne > 0
-
-    def test_spark_views(self, spark, ldbc):
-        ldbc.register_spark_views(spark)
-        n = spark.sql("SELECT COUNT(*) AS c FROM v_Person").collect()[0]["c"]
-        assert n == ldbc.n_vertices("Person")
-
-    def test_spark_accessors(self, spark, ldbc):
-        assert ldbc.spark_vertices(spark, "Place").count() == ldbc.n_vertices(
-            "Place"
-        )
-        assert ldbc.spark_edges(spark, "knows").count() == len(
-            ldbc.etables["knows"]
-        )
-
     def test_validate_catches_cardinality_violation(self, ldbc):
         import copy
 

@@ -5,7 +5,8 @@ over ``ldbc_lite`` and ``imdb_lite`` in a random join order, so extends
 run forward and backward, over CSRs and vertex columns. Predicates
 compare a property to a literal or to another property (vertex vs
 vertex, edge vs vertex, edge vs edge) over numeric, dictionary,
-raw-string and NULL-heavy columns; half the paths are inequality chains
+raw-string and NULL-heavy columns, string pairs also by CONTAINS and
+STARTS WITH; half the paths are inequality chains
 (each edge compared with the one before it). Outputs are count(*) or one
 or two projections, at ``block_size`` 1, 3 or the default. Each query's
 ``run_lbp_df`` result must equal DuckDB's over ``to_sql``.
@@ -227,15 +228,21 @@ def queries(draw, envs):
         # an edge's endpoints or the edges sharing a vertex with it, the
         # shapes the count tails and chain counts fuse.
         near = _adjacent(var, edges) if rnd.random() < 0.5 else None
+        # Strings of two different columns seldom contain one another, so
+        # half the string pairs read the same property on both sides, and
+        # compare it by CONTAINS or STARTS WITH.
+        same = _is_str(p) and rnd.random() < 0.5
         rvar, _, rp = _pick_operand(
             rnd, groups,
             lambda o: _is_str(o[2]) == _is_str(p) and (
                 near is None or o[0] in near
-            ),
+            ) and (not same or o[2] is p),
         )
-        preds.append(Predicate(
-            var, p.name, rnd.choice(CMP), rhs_var=rvar, rhs_prop=rp.name,
-        ))
+        if same or (_is_str(p) and rnd.random() < 0.5):
+            op = rnd.choice(["contains", "startswith"])
+        else:
+            op = rnd.choice(CMP)
+        preds.append(Predicate(var, p.name, op, rhs_var=rvar, rhs_prop=rp.name))
     if chain or not groups or rnd.random() < 2 / 3:
         returns = "count"  # the count tails and chain counts are fusions
     else:

@@ -1,56 +1,60 @@
-"""Smoke tests for the spark-submit job entrypoints at tiny scale."""
+"""Smoke tests for the spark-submit job at small scale: each recorded
+output's table prints under the title its committed file has."""
 import importlib.util
 import pathlib
+import re
 
-import pytest
+from repro.bench import STEMS
 
-JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "benchmarks" / "out"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def _title(text: str) -> str:
+    return re.sub(r"sf=[0-9.e-]+", "sf=", text.splitlines()[0])
+
+
+def _check(spark, capsys, prefixes, scale):
+    spec = importlib.util.spec_from_file_location("job", ROOT / "jobs" / "run_table.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    stems = [s for s in STEMS if s.startswith(prefixes)]
+    assert stems
+    for stem in stems:
+        job.main(spark, stem, scale)
+        want = _title((OUT / f"{stem}.txt").read_text())
+        assert _title(capsys.readouterr().out) == want, stem
+
+
+def test_every_output_has_a_job():
+    assert sorted(STEMS) == sorted(p.stem for p in OUT.glob("*.txt"))
 
 
 def test_table2_job(spark, capsys):
-    _load("table2_memory").run(spark, sf=0.01)
-    out = capsys.readouterr().out
-    assert "Table 2 (ldbc_lite" in out and "Table 2 (imdb_lite" in out
-
-
-def test_table4_job(spark, capsys):
-    _load("table4_single_card").run(spark, sf=0.01)
-    out = capsys.readouterr().out
-    assert "V-Column vs CSR" in out
+    _check(spark, capsys, "table2", 0.03)
 
 
 def test_table3_job(spark, capsys):
-    _load("table3_prop_pages").run(spark, scale=0.01)
-    out = capsys.readouterr().out
-    assert "PAGE_P" in out and "COL_E" in out
+    _check(spark, capsys, "table3", 0.01)
+
+
+def test_table4_job(spark, capsys):
+    _check(spark, capsys, "table4", 0.01)
 
 
 def test_table5_job(spark, capsys):
-    _load("table5_lbp").run(spark, scale=0.2, hops=(1, 2))
-    out = capsys.readouterr().out
-    assert "GF-CV" in out and "GF-CL" in out
+    _check(spark, capsys, "table5", 0.05)
 
 
-def test_table6_ldbc_job(spark, capsys):
-    _load("table6_ldbc").run(spark, sf=0.01, repeats=1)
-    out = capsys.readouterr().out
-    assert "LDBC IS" in out and "LDBC IC" in out
+def test_table6_ldbc_job(capsys):
+    # Spark SQL costs about a second a query at any scale, so only the
+    # JOB run below includes it.
+    _check(None, capsys, ("table6a", "table6b"), 0.1)
 
 
 def test_table6_job_job(spark, capsys):
-    _load("table6_job").run(spark, sf=0.01, repeats=1)
-    out = capsys.readouterr().out
-    assert "JOB" in out and "33a" in out
+    _check(spark, capsys, "table6c", 0.1)
 
 
 def test_table7_8_job(spark, capsys):
-    _load("table7_8_sensitivity").run(spark, sf=0.01)
-    out = capsys.readouterr().out
-    assert "Table 7" in out and "Table 8" in out and "Fig 12" in out
+    _check(spark, capsys, ("table7", "table8", "fig12"), 0.02)

@@ -1,4 +1,6 @@
 """Plan compilation and SQL generation."""
+import duckdb
+import pandas as pd
 import pytest
 
 from repro.graphs.datasets import ldbc_lite
@@ -13,6 +15,7 @@ from repro.proc.plan import (
     needed_eprops,
     to_sql,
 )
+from repro.proc.expressions import scalar_op
 
 
 def _spec(**kw):
@@ -144,3 +147,36 @@ class TestSQL:
             Predicate("k", "date", ">", None, rhs_var="b", rhs_prop="id"),
         ])
         assert "k.date > b.id" in to_sql(spec, ldbc_lite(sf=0.01).schema)
+
+    @pytest.mark.parametrize("op", ["contains", "startswith"])
+    def test_string_op_between_props_runs_in_duckdb(self, op):
+        """The rendered predicate keeps exactly the pairs scalar_op keeps,
+        on empty, NULL, non-ASCII and longer-than-lhs operands."""
+        pairs = [
+            ("abc", "b"), ("abc", "a"), ("abc", "c"), ("abc", ""), ("", ""),
+            ("", "a"), ("ab", "abc"), ("héllo", "hé"), ("héllo", "llo"),
+            ("héllo", "é"), (None, "a"), ("a", None), (None, None),
+        ]
+        con = duckdb.connect()
+        con.register("v_T", pd.DataFrame({
+            "_id": range(2 * len(pairs)), "s": [x for p in pairs for x in p],
+        }))
+        con.register("e_r", pd.DataFrame({
+            "src": range(0, 2 * len(pairs), 2),
+            "dst": range(1, 2 * len(pairs), 2),
+        }))
+        spec = QuerySpec(
+            "q", {"a": "T", "b": "T"}, [QueryEdge("a", "b", "r")],
+            [Predicate("a", "s", op, rhs_var="b", rhs_prop="s")],
+            [("a", "s"), ("b", "s")], ["a", "b"],
+        )
+        got = con.execute(to_sql(spec, None)).fetchall()
+        con.close()
+        assert sorted(got) == sorted(p for p in pairs if scalar_op(op, *p))
+
+    def test_in_against_a_prop_rejected(self):
+        spec = _spec(predicates=[
+            Predicate("a", "fName", "in", rhs_var="b", rhs_prop="lName"),
+        ])
+        with pytest.raises(ValueError):
+            to_sql(spec, ldbc_lite(sf=0.01).schema)
