@@ -1,9 +1,10 @@
 """Table 5 benchmark: LBP vs Volcano on k-hop FILTER / COUNT(*) (§8.6)."""
+from repro.bench.lbp_vs_volcano import table5
 from repro.bench.record import record_run
 
 
 def test_table5_lbp_vs_volcano(benchmark, spark):
-    df = record_run(benchmark, spark, "table5")
+    df = record_run(benchmark, table5, spark)
     # Shape: GF-CL wins everywhere beyond 1 hop, COUNT(*) speedups exceed
     # FILTER speedups at 3 hops (factorized counting), and speedups grow
     # with hops.

@@ -3,19 +3,33 @@
 Usage: spark-submit jobs/run_table.py <stem> [scale]
 
 <stem> names a recorded output, ``benchmarks/out/<stem>.txt`` (the keys
-of ``repro.bench.STEMS``). The job runs the workload that
-``pytest benchmarks/`` records there, with every scale factor multiplied
-by ``scale`` (default 1.0), and prints the same table.
+of ``STEMS``). The job runs the workload that ``pytest benchmarks/``
+records there, with every scale factor multiplied by ``scale`` (default
+1.0), and prints the same table.
 """
 import sys
 
 from pyspark.sql import SparkSession
 
-from repro.bench import STEMS, run
+from repro.bench.baselines import table6a_ldbc_is, table6b_ldbc_ic, table6c_job
+from repro.bench.lbp_vs_volcano import table5
+from repro.bench.memory import table2_imdb, table2_ldbc
+from repro.bench.prop_pages import table3
+from repro.bench.sensitivity import fig12_k_sweep, table7, table7_schemes, table8
+from repro.bench.single_card import table4
+
+STEMS = {
+    fn.__name__: fn
+    for fn in (
+        table2_ldbc, table2_imdb, table3, table4, table5, table6a_ldbc_is,
+        table6b_ldbc_ic, table6c_job, table7, table7_schemes, table8,
+        fig12_k_sweep,
+    )
+}
 
 
 def main(spark: SparkSession, stem: str, scale: float = 1.0) -> None:
-    print(run(stem, spark, scale)[1])
+    print(STEMS[stem](spark, scale)[1])
 
 
 if __name__ == "__main__":

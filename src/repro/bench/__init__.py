@@ -2,33 +2,9 @@
 
 Each recorded output ``benchmarks/out/<stem>.txt`` has one definition of
 its workload (datasets, scale factors, repeats, k values, hops, and
-whether stores are built through Spark): the function ``<stem>`` of the
-module :data:`STEMS` names. It takes a SparkSession (or None) and a
+whether stores are built through Spark): the function named ``<stem>``
+in its table's module. It takes a SparkSession (or None) and a
 ``scale`` that multiplies every scale factor, and returns the measured
 frame and its formatted table. ``benchmarks/bench_*.py`` record and
 check those outputs; ``jobs/run_table.py`` prints any of them.
 """
-from __future__ import annotations
-
-import importlib
-
-STEMS = {
-    "table2_ldbc": "memory",
-    "table2_imdb": "memory",
-    "table3": "prop_pages",
-    "table4": "single_card",
-    "table5": "lbp_vs_volcano",
-    "table6a_ldbc_is": "baselines",
-    "table6b_ldbc_ic": "baselines",
-    "table6c_job": "baselines",
-    "table7": "sensitivity",
-    "table7_schemes": "sensitivity",
-    "table8": "sensitivity",
-    "fig12_k_sweep": "sensitivity",
-}
-
-
-def run(stem: str, spark=None, scale: float = 1.0):
-    """``(frame, text)`` of one recorded output's workload."""
-    module = importlib.import_module(f"repro.bench.{STEMS[stem]}")
-    return getattr(module, stem)(spark, scale)

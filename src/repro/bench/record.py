@@ -10,18 +10,17 @@ from __future__ import annotations
 import pathlib
 import time
 
-from repro.bench import run
-
 OUT_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "out"
 
 
-def record_run(benchmark, spark, stem: str):
-    """Run ``stem``'s workload once under pytest-benchmark's
-    ``benchmark`` fixture, write its table to ``benchmarks/out`` and
-    return its frame for the bench's shape checks."""
-    df, text = benchmark.pedantic(
-        run, args=(stem, spark), rounds=1, iterations=1
-    )
+def record_run(benchmark, fn, spark):
+    """Run the workload ``fn`` (a stem function such as
+    :func:`repro.bench.memory.table2_ldbc`) once under pytest-benchmark's
+    ``benchmark`` fixture, write its table to
+    ``benchmarks/out/<fn.__name__>.txt`` and return its frame for the
+    bench's shape checks."""
+    stem = fn.__name__
+    df, text = benchmark.pedantic(fn, args=(spark,), rounds=1, iterations=1)
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / f"{stem}.txt").write_text(text + "\n")
     print(f"\n===== {stem} =====\n{text}\n", flush=True)

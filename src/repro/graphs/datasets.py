@@ -533,6 +533,6 @@ def flickr_like(*, sf: float = 0.1, seed: int = 11) -> GraphData:
 def wiki_like(*, sf: float = 0.1, seed: int = 13) -> GraphData:
     """WIKI-shaped: higher average degree (paper: 41)."""
     return _konect_like(
-        "wiki", n_nodes=max(50, int(10_000 * sf)), avg_degree=41,
+        "wiki", n_nodes=max(10, int(10_000 * sf)), avg_degree=41,
         seed=seed, alpha=0.8,
     )

@@ -229,8 +229,8 @@ def queries(draw, envs):
         # shapes the count tails and chain counts fuse.
         near = _adjacent(var, edges) if rnd.random() < 0.5 else None
         # Strings of two different columns seldom contain one another, so
-        # half the string pairs read the same property on both sides, and
-        # compare it by CONTAINS or STARTS WITH.
+        # CONTAINS and STARTS WITH compare a property with itself, on the
+        # same or another variable: half the string pairs, the rest CMP.
         same = _is_str(p) and rnd.random() < 0.5
         rvar, _, rp = _pick_operand(
             rnd, groups,
@@ -238,10 +238,7 @@ def queries(draw, envs):
                 near is None or o[0] in near
             ) and (not same or o[2] is p),
         )
-        if same or (_is_str(p) and rnd.random() < 0.5):
-            op = rnd.choice(["contains", "startswith"])
-        else:
-            op = rnd.choice(CMP)
+        op = rnd.choice(["contains", "startswith"] if same else CMP)
         preds.append(Predicate(var, p.name, op, rhs_var=rvar, rhs_prop=rp.name))
     if chain or not groups or rnd.random() < 2 / 3:
         returns = "count"  # the count tails and chain counts are fusions

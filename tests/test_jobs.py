@@ -4,10 +4,12 @@ import importlib.util
 import pathlib
 import re
 
-from repro.bench import STEMS
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "benchmarks" / "out"
+
+_spec = importlib.util.spec_from_file_location("run_table", ROOT / "jobs" / "run_table.py")
+job = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(job)
 
 
 def _title(text: str) -> str:
@@ -15,10 +17,7 @@ def _title(text: str) -> str:
 
 
 def _check(spark, capsys, prefixes, scale):
-    spec = importlib.util.spec_from_file_location("job", ROOT / "jobs" / "run_table.py")
-    job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(job)
-    stems = [s for s in STEMS if s.startswith(prefixes)]
+    stems = [s for s in job.STEMS if s.startswith(prefixes)]
     assert stems
     for stem in stems:
         job.main(spark, stem, scale)
@@ -27,7 +26,7 @@ def _check(spark, capsys, prefixes, scale):
 
 
 def test_every_output_has_a_job():
-    assert sorted(STEMS) == sorted(p.stem for p in OUT.glob("*.txt"))
+    assert sorted(job.STEMS) == sorted(p.stem for p in OUT.glob("*.txt"))
 
 
 def test_table2_job(spark, capsys):
@@ -46,10 +45,8 @@ def test_table5_job(spark, capsys):
     _check(spark, capsys, "table5", 0.05)
 
 
-def test_table6_ldbc_job(capsys):
-    # Spark SQL costs about a second a query at any scale, so only the
-    # JOB run below includes it.
-    _check(None, capsys, ("table6a", "table6b"), 0.1)
+def test_table6_ldbc_job(spark, capsys):
+    _check(spark, capsys, ("table6a", "table6b"), 0.02)
 
 
 def test_table6_job_job(spark, capsys):
