@@ -27,7 +27,8 @@ emits the operators that run over a :class:`GraphStore`:
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
 
 The pipeline passes one unflat list group at a time: each extend
-hands downstream a new group in place of its input, so factorization
+hands downstream a new group in place of its input, holding only the
+blocks later operators read (:func:`_plan_batches`), so factorization
 is kept only where a count never needs the tuples (the count tails'
 list lengths and prefix sums, the chain count's suffix weights, and
 :func:`_try_vectorized_count`).
@@ -188,7 +189,7 @@ def compile_lbp(
             if step.pred.rhs_var:
                 ensure_vprop(step.pred.rhs_var, step.pred.rhs_prop)
             if isinstance(ops[-1], PhysBatchExtend):
-                ops[-1].add_pred(step.pred)
+                ops[-1].preds.append(step.pred)
             else:
                 ops.append(PhysFilter(step.pred))
         else:
@@ -207,6 +208,7 @@ def compile_lbp(
             keys.append(f"{var}.{prop}")
             names.append(f"{var}_{prop}")
         ops.append(CollectSink(keys, names))
+    _plan_batches(ops)
     sink = _fuse_chain_count(ops) or ops[-1]
     for a, b in zip(ops, ops[1:]):
         a.next = b
@@ -242,6 +244,30 @@ def _count_tail(op: Operator, block_size: int) -> Operator | None:
         op.src_var, op.estore, op.direction, op.edge_var, preds,
         block_size=block_size,
     )
+
+
+def _plan_batches(ops: list[Operator]) -> None:
+    """Backward liveness: each :class:`PhysBatchExtend` hands on only the
+    keys later operators read (the chain count's probe key is the second
+    hop's band operand: this runs before the chain is fused)."""
+    live: set[str] = set()
+    for op in reversed(ops):
+        if isinstance(op, PhysBatchExtend):
+            live = op.plan(live)
+        elif isinstance(op, PhysVertexPropRead):
+            live = live - {op.key} | {op.var}
+        elif isinstance(op, PhysColumnExtend):
+            made = {op.out_var} | {f"{op.edge_var}.{p}" for p in op.eprops}
+            live = live - made | {op.src_var}
+        elif isinstance(op, PhysFilter):
+            live = live | {op.lkey, op.rkey} - {None}
+        elif isinstance(op, CollectSink):
+            live = live | set(op.keys)
+        elif not isinstance(op, (CountSink, PhysScan)):  # count extends
+            live = live | {op.src_var} | {
+                f"{p.rhs_var}.{p.rhs_prop}"
+                for p in getattr(op, "preds", ()) if p.rhs_var
+            }
 
 
 def _edge_lhs(p: Predicate, evar: str | None) -> Predicate:

@@ -14,9 +14,11 @@ of input rows over their lists).
   once per piece of at most ``block_size`` adjacency positions
   (:func:`cut_ranges`), so intermediates stay bounded however many hops
   a plan expands.
-- :class:`PhysBatchExtend` is the ListExtend of compiled plans: it
-  expands its input over the adjacency lists, reads the edge and
-  out-vertex properties, and applies the filters that follow it.
+- :class:`PhysBatchExtend` is the ListExtend of compiled plans, with
+  the out-vertex property reads and filters that follow it. It filters
+  each piece before it flattens it: cheap predicates first, each later
+  one read and tested only at the surviving positions, and it hands on
+  only the blocks later operators read.
 - :class:`PhysListExtend` reads one adjacency list at a time; no plan
   holds it. It is the per-list reference the batched edge-property
   reads are tested against.
@@ -49,7 +51,11 @@ import numpy as np
 import pandas as pd
 
 from repro.proc.chunk import Block, ListGroup
-from repro.proc.expressions import eval_block_vs_block, eval_block_vs_literal
+from repro.proc.expressions import (
+    _COMPARE,
+    eval_block_vs_block,
+    eval_block_vs_literal,
+)
 from repro.proc.plan import Predicate
 from repro.storage.graph_store import EdgeStore
 
@@ -185,12 +191,16 @@ def _eprop_block_multi(
     idx: np.ndarray | None,
     contig: tuple[int, int] | None,
     csr,
+    sel: np.ndarray | None = None,
 ) -> Block:
-    """Edge property values for a whole block of adjacency lists.
+    """Edge property values for a whole block of adjacency lists, or for
+    the positions ``sel`` of it only.
 
     Under forward property pages with a contiguous range this is one
     slice (sequential); every other combination is a gather (random).
     """
+    if sel is not None:
+        idx, contig = sel + contig[0] if contig else idx[sel], None
     kind = estore.eprop_kind
     if kind == "pages" and direction == "fwd":
         # Forward reads follow page order: a slice when contiguous, a
@@ -206,6 +216,8 @@ def _eprop_block_multi(
     elif kind in ("src_vcol", "dst_vcol"):
         if estore.eprop_keyed_by_input(direction):
             keys = np.repeat(srcs, lens).astype(np.int64)
+            if sel is not None:
+                keys = keys[sel]
         else:
             keys = (
                 csr.nbr[contig[0]:contig[1]] if contig is not None
@@ -644,23 +656,38 @@ class PhysColumnExtend(Operator):
         self.next.consume(out)
 
 
-class PhysBatchExtend(Operator):
-    """Block-at-a-time ListExtend with its out-vertex property reads and
-    the filters that follow it (``vprop_reads``, ``preds``: the compiler
-    adds them while it walks the plan).
+class _Step:
+    """A fused predicate, its keys' sources and state, as planned."""
 
-    For a left-deep plan, the paper's ListExtend *flattens* its input
-    group and iterates it — i.e., every level but the last gives up its
-    factorization anyway (§8.7.2: "each ListExtend first flattens the
-    previously extended node"). In Java that iteration costs nanoseconds;
-    in this simulator the faithful constant-factor equivalent is the
-    vectorized form: expand the input group's blocks over the adjacency
-    list lengths (the data copy that flattening implies), concatenate the
-    lists (a zero-copy view when contiguous), gather the edge/vertex
-    properties the next operators need in one shot, and apply their
-    predicates as one mask. This runs once per piece of at most
-    ``block_size`` positions (:func:`cut_ranges`), and each piece is
-    handed downstream as a new group in place of the input group.
+    def __init__(self, pred: Predicate, srcs: dict) -> None:
+        self.pred, self.memo = pred, {}  # dictionary masks, this query
+        self.lkey = f"{pred.var}.{pred.prop}"
+        self.rkey = pred.rhs_var and f"{pred.rhs_var}.{pred.rhs_prop}"
+        self.lsrc, self.rsrc = (
+            k and srcs.get(k, ("in", k)) for k in (self.lkey, self.rkey)
+        )
+        # A literal on an out-vertex property: its column, for the mask.
+        self.vcol = self.lsrc[0] == "v" and self.rkey is None and self.lsrc[1]
+        self.lkeep = self.rkeep = False  # keep the block read, for later
+        self.seen, self.mask = 0, None  # rows evaluated; the column mask
+
+
+class PhysBatchExtend(Operator):
+    """Block-at-a-time ListExtend with the out-vertex property reads
+    (``vprop_reads``) and filters (``preds``) that the compiler adds.
+
+    The paper's ListExtend flattens its input group (§8.7.2). Each piece
+    of at most ``block_size`` adjacency positions (:func:`cut_ranges`) is
+    filtered first, through a selection vector (Boncz, Zukowski & Nes,
+    "MonetDB/X100", CIDR 2005; Abadi et al., "Materialization Strategies
+    in a Column-Oriented DBMS", ICDE 2007): dictionary and numeric
+    literals run first, and each predicate reads and tests only the
+    positions still passing. A literal on an out-vertex property that
+    has evaluated as many rows as its column has vertices evaluates the
+    column once into a per-query mask (NULL false); later pieces gather
+    ``mask[nbr]``. The piece handed on holds only the keep-set, each
+    block gathered once at the survivors (input blocks through
+    ``np.repeat(rows, lens)[sel]``).
     """
 
     def __init__(
@@ -679,51 +706,120 @@ class PhysBatchExtend(Operator):
         self.estore, self.direction, self.eprops = estore, direction, eprops
         self.vprop_reads: list[tuple[str, object]] = []  # (prop, vcol) of out_var
         self.preds: list[Predicate] = []
-        self.memos: list[dict] = []  # dictionary masks, this query
         self.block_size = block_size
         self.csr = estore.csr(direction)
+        self.steps: list[_Step] | None = None  # set by :meth:`plan`
 
-    def add_pred(self, pred: Predicate) -> None:
-        self.preds.append(pred)
-        self.memos.append({})
+    def plan(self, live: set[str] | None, inputs=()) -> set[str]:
+        """Fix the predicate order, each key's source and the blocks to
+        hand on: ``live``, the keys later operators read (None: ``inputs``
+        and every block made here). Returns the input keys it reads."""
+        srcs = {self.out_var: ("nbr", None)}
+        for prop in self.eprops:
+            srcs[f"{self.edge_var}.{prop}"] = ("e", prop)
+        for prop, vcol in self.vprop_reads:
+            srcs[f"{self.out_var}.{prop}"] = ("v", vcol)
+        live = srcs.keys() | inputs if live is None else live
+        self.outputs = [(k, srcs.get(k) or ("in", k)) for k in live]
+        steps = [_Step(p, srcs) for p in self.preds]
+        self.memos = [st.memo for st in steps]  # in ``preds`` order
+        # Stable: cheap literals keep their query order.
+        self.steps = sorted(steps, key=lambda st: not self._cheap(st))
+        later = set(live)
+        for st in reversed(self.steps):
+            st.lkeep, st.rkeep = st.lkey in later, st.rkey in later
+            later |= {st.lkey, st.rkey}
+        return later - srcs.keys() - {None} | {self.src_var}
+
+    def _cheap(self, st: _Step) -> bool:
+        """A dictionary literal or numeric comparison: no call per value."""
+        kind, arg = st.lsrc
+        if st.rkey is not None or kind not in ("e", "v"):
+            return False
+        if kind == "v":
+            dictionary, raw = arg.kind == "dict", arg.kind == "str"
+        else:
+            spec = self.estore.label.prop(arg)
+            dictionary, raw = spec.categorical, spec.dtype == "str"
+        return dictionary or (not raw and st.pred.op in _COMPARE)
 
     def consume(self, group: ListGroup) -> None:
+        if self.steps is None:  # not compiled: hand on every block
+            self.plan(None, group.blocks)
         starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         for piece in cut_ranges(starts, ends, self.block_size):
             self._extend(group, *piece)
 
     def _extend(self, group, rows, idx, contig, lens) -> None:
-        srcs = group.blocks[self.src_var].data[rows]
-        merged = {k: _expand(b, rows, lens) for k, b in group.blocks.items()}
-        nbr = (
-            self.csr.nbr[contig[0]:contig[1]] if contig is not None
-            else self.csr.nbr[idx]
-        )
-        merged[self.out_var] = Block(nbr)
-        for prop in self.eprops:
-            merged[f"{self.edge_var}.{prop}"] = _eprop_block_multi(
-                self.estore, prop, self.direction, srcs, lens, idx, contig,
-                self.csr,
-            )
-        for prop, vcol in self.vprop_reads:
-            merged[f"{self.out_var}.{prop}"] = _block(vcol, *vcol.get_many(nbr))
-        out = ListGroup(merged, len(nbr))
-        # Fused predicates, evaluated once over the whole batch.
-        mask = None
-        for p, memo in zip(self.preds, self.memos):
-            lblk = merged[f"{p.var}.{p.prop}"]
-            if p.rhs_var is None:
-                m = eval_block_vs_literal(p.op, lblk, p.value, memo)
-            else:
-                m = eval_block_vs_block(
-                    p.op, lblk, merged[f"{p.rhs_var}.{p.rhs_prop}"]
-                )
-            mask = m if mask is None else (mask & m)
-        if mask is not None and not mask.all():
-            if not mask.any():
+        nbr = self.csr.nbr[slice(*contig) if contig else idx]
+        piece = (group, rows, lens, idx, contig, nbr)
+        sel = at = rep = None  # surviving positions; their input rows
+        cache: dict[str, Block] = {}  # blocks read at ``sel``
+        for st in self.steps:
+            m = self._eval(st, piece, sel, at, cache)
+            if m.all():
+                continue
+            if not m.any():
                 return
-            out = out.take(mask)
-        self.next.consume(out)
+            sel = np.flatnonzero(m) if sel is None else sel[m]
+            for k, b in cache.items():
+                cache[k] = b.take(m)
+            if rep is None:
+                rep = np.repeat(np.arange(rows.start, rows.stop), lens)
+            at = rep[sel]
+        blocks = {  # a cached block is never empty: it holds ``sel``
+            k: cache.get(k) or self._read(src, piece, sel, at)
+            for k, src in self.outputs
+        }
+        self.next.consume(ListGroup(blocks, len(nbr) if sel is None else len(sel)))
+
+    def _get(self, key, src, keep, piece, sel, at, cache) -> Block:
+        """Block ``key`` from ``cache``, else read (and cached if ``keep``)."""
+        blk = cache.get(key)
+        if blk is None:
+            blk = self._read(src, piece, sel, at)
+            if keep:
+                cache[key] = blk
+        return blk
+
+    def _read(self, src, piece, sel, at) -> Block:
+        """The block of source ``src`` at the piece's positions ``sel``
+        (None: all of them); ``at`` are their input rows."""
+        group, rows, lens, idx, contig, nbr = piece
+        kind, arg = src
+        if kind == "in":
+            b = group.blocks[arg]
+            return _expand(b, rows, lens) if sel is None else b.take(at)
+        if kind == "e":
+            return _eprop_block_multi(
+                self.estore, arg, self.direction,
+                group.blocks[self.src_var].data[rows], lens, idx, contig,
+                self.csr, sel,
+            )
+        ids = nbr if sel is None else nbr[sel]
+        return Block(ids) if kind == "nbr" else _block(arg, *arg.get_many(ids))
+
+    def _eval(self, st: _Step, piece, sel, at, cache) -> np.ndarray:
+        """Step ``st``'s mask over the positions ``sel``."""
+        p = st.pred
+        if st.vcol:
+            nbr = piece[5] if sel is None else piece[5][sel]
+            if st.mask is None:
+                st.seen += len(nbr)
+                st.mask = self._column_mask(st) if st.seen >= st.vcol.n else None
+            if st.mask is not None:
+                return st.mask[nbr]
+        lblk = self._get(st.lkey, st.lsrc, st.lkeep, piece, sel, at, cache)
+        if st.rkey is None:
+            return eval_block_vs_literal(p.op, lblk, p.value, st.memo)
+        rblk = self._get(st.rkey, st.rsrc, st.rkeep, piece, sel, at, cache)
+        return eval_block_vs_block(p.op, lblk, rblk)
+
+    def _column_mask(self, st: _Step) -> np.ndarray:
+        """``st``'s literal over every vertex of its column (NULL false)."""
+        vcol = st.vcol
+        blk = _block(vcol, *vcol.get_many(np.arange(vcol.n, dtype=np.int64)))
+        return eval_block_vs_literal(st.pred.op, blk, st.pred.value, st.memo)
 
 
 class PhysFilter(Operator):

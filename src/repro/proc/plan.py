@@ -194,8 +194,11 @@ def _pred_sql(spec: QuerySpec, p: Predicate, alias: dict[str, str]) -> str:
     return f"{lhs} {p.op} {_sql_literal(p.value)}"
 
 
-def to_sql(spec: QuerySpec, schema: GraphSchema) -> str:
-    """Equivalent SQL over the relational form (oracle + RDBMS baselines)."""
+def to_sql(spec: QuerySpec, schema: GraphSchema | None = None) -> str:
+    """Equivalent SQL over the relational form (oracle + RDBMS baselines).
+
+    The table and column names come from ``spec`` alone; ``schema`` is
+    accepted, and unused, for the callers that pass it positionally."""
     alias: dict[str, str] = {v: v for v in spec.vertices}
     joins = []
     seen = set()

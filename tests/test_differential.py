@@ -7,7 +7,9 @@ compare a property to a literal or to another property (vertex vs
 vertex, edge vs vertex, edge vs edge) over numeric, dictionary,
 raw-string and NULL-heavy columns, string pairs also by CONTAINS and
 STARTS WITH; half the paths are inequality chains
-(each edge compared with the one before it). Outputs are count(*) or one
+(each edge compared with the one before it), and a third of the stars
+stack two to four literals on one extend, dictionary or numeric ones
+mixed with raw-string CONTAINS / STARTS WITH. Outputs are count(*) or one
 or two projections, at ``block_size`` 1, 3 or the default. Each query's
 ``run_lbp_df`` result must equal DuckDB's over ``to_sql``.
 
@@ -163,10 +165,10 @@ def _is_str(p) -> bool:
     return p.dtype == "str"
 
 
-def _literal_pred(rnd, env, var, label, p) -> Predicate:
+def _literal_pred(rnd, env, var, label, p, op=None) -> Predicate:
     values = env.values[label, p.name]
     if _is_str(p):
-        op = rnd.choice(STR_OPS)
+        op = op or rnd.choice(STR_OPS)
         if op in ("contains", "startswith"):
             # SQL LIKE patterns: keep literals free of its metacharacters.
             values = [v for v in values if "%" not in v and "_" not in v]
@@ -193,6 +195,32 @@ def _literal_pred(rnd, env, var, label, p) -> Predicate:
     return Predicate(var, p.name, op, value + rnd.choice([0, 0.5]))
 
 
+def _stacked(rnd, env, vertices, edges) -> list[Predicate]:
+    """Two to four literal predicates that one extend of a star fuses:
+    on one edge's far vertex and the edge itself, dictionary or numeric
+    ones mixed with raw-string CONTAINS / STARTS WITH, on NULL-heavy raw
+    columns where there are some. Empty when there is no such mix."""
+    e = rnd.choice(edges)
+    far = e.dst if e.src == "v0" else e.src
+    ops = [(far, vertices[far], p) for p in env.schema.vertices[vertices[far]].props]
+    if e.var:
+        ops += [(e.var, e.label, p) for p in env.schema.edges[e.label].props]
+    raw = [o for o in ops if _is_str(o[2]) and not o[2].categorical]
+    cheap = [o for o in ops if o not in raw]
+    if not raw or not cheap:
+        return []
+    heavy = [o for o in raw if env.kinds[o[1], o[2].name] == "nulls"] or raw
+    picks = [rnd.choice(cheap)] + rnd.sample(heavy, min(len(heavy), rnd.randint(1, 2)))
+    preds = [_literal_pred(rnd, env, *picks[0])] + [
+        _literal_pred(rnd, env, *o, op=rnd.choice(["contains", "startswith"]))
+        for o in picks[1:]
+    ]
+    if rnd.random() < 0.5:
+        preds.append(_literal_pred(rnd, env, *rnd.choice(cheap)))
+    rnd.shuffle(preds)  # the planner, not the query, orders them
+    return preds
+
+
 @st.composite
 def queries(draw, envs):
     rnd = draw(st.randoms(use_true_random=True))
@@ -202,6 +230,11 @@ def queries(draw, envs):
     groups = _operands(env, vertices, edges)
     preds, n_preds = [], rnd.randint(0, 3)
     chain = not star and rnd.random() < 0.5
+    # A third of the stars stack literals on one extend, joined from the
+    # centre so that extend binds the far vertex.
+    stacked = star and rnd.random() < 1 / 3 and _stacked(rnd, env, vertices, edges)
+    if stacked:
+        preds, n_preds = stacked, rnd.randint(0, 1)
     if chain:
         # An inequality-chained path (Table 3): each edge compared with
         # the one before it, at most one more predicate, a literal on an
@@ -252,6 +285,9 @@ def queries(draw, envs):
         rnd.shuffle(order)
     elif rnd.random() < 0.5:
         order.reverse()  # a chain is joined from one end or the other
+    if stacked:
+        order.remove("v0")
+        order.insert(0, "v0")
     spec = QuerySpec("fuzz", vertices, edges, preds, returns, order)
     return env, spec, rnd.choice([1, 3, BLOCK_SIZE])
 

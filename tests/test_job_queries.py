@@ -56,12 +56,18 @@ def _job(name):
 
 def test_dictionary_mask_once_per_predicate_per_query(imdb_store, monkeypatch):
     # 3a filters k.keyword CONTAINS and mi.info = on dictionary-coded
-    # columns; at block_size=64 each predicate sees several blocks but
-    # evaluates its dictionary once per query.
+    # out-vertex columns. At block_size=64 each predicate evaluates its
+    # dictionary once per query: the 800-row movie_info column is never
+    # reached, so mi.info gathers that mask through the codes of several
+    # blocks; the 12-row keyword column is reached on the first block,
+    # so k.keyword is evaluated once over the whole column, and no block
+    # is evaluated after that.
     spec = _job("3a")
-    masks, blocks = Counter(), Counter()
+    masks, blocks, columns = Counter(), Counter(), Counter()
+    building = []
     real_mask = expressions.dictionary_mask
     real_eval = operators.eval_block_vs_literal
+    real_column = operators.PhysBatchExtend._column_mask
 
     def counting_mask(op, dictionary, lit):
         masks[op, lit] += 1
@@ -69,16 +75,27 @@ def test_dictionary_mask_once_per_predicate_per_query(imdb_store, monkeypatch):
 
     def counting_eval(op, block, lit, *args, **kwargs):
         if block.dictionary is not None:
-            blocks[op, lit] += 1
+            assert not columns[op, lit], "a block evaluated after its column"
+            (columns if building else blocks)[op, lit] += 1
         return real_eval(op, block, lit, *args, **kwargs)
+
+    def counting_column(self, st):
+        building.append(st)
+        try:
+            return real_column(self, st)
+        finally:
+            building.pop()
 
     monkeypatch.setattr(expressions, "dictionary_mask", counting_mask)
     monkeypatch.setattr(operators, "eval_block_vs_literal", counting_eval)
+    monkeypatch.setattr(operators.PhysBatchExtend, "_column_mask", counting_column)
     dict_preds = {("contains", "sequel"), ("=", "Sweden")}
     for runs in (1, 2):
+        columns.clear()
         run_lbp(imdb_store, spec, block_size=64)
-        assert set(blocks) == dict_preds
-        assert all(n > 2 * runs for n in blocks.values())
+        assert set(blocks) | set(columns) == dict_preds
+        assert blocks["=", "Sweden"] > 2 * runs
+        assert columns == Counter({("contains", "sequel"): 1})
         assert masks == Counter({k: runs for k in dict_preds})
 
 

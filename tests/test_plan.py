@@ -3,7 +3,6 @@ import duckdb
 import pandas as pd
 import pytest
 
-from repro.graphs.datasets import ldbc_lite
 from repro.proc.plan import (
     ExtendStep,
     FilterStep,
@@ -108,7 +107,7 @@ class TestNeededEprops:
 
 class TestSQL:
     def test_count_query(self):
-        sql = to_sql(_spec(), ldbc_lite(sf=0.01).schema)
+        sql = to_sql(_spec())
         assert sql.startswith("SELECT COUNT(*) AS cnt FROM v_Person AS a")
         assert "JOIN e_knows AS k ON k.src = a._id" in sql
         assert "k.date > 5" in sql
@@ -116,37 +115,37 @@ class TestSQL:
 
     def test_projection_aliases(self):
         spec = _spec(returns=[("b", "fName"), ("k", "date")], predicates=[])
-        sql = to_sql(spec, ldbc_lite(sf=0.01).schema)
+        sql = to_sql(spec)
         assert "b.fName AS b_fName" in sql
         assert "k.date AS k_date" in sql
 
     def test_contains_becomes_like(self):
         spec = _spec(predicates=[Predicate("b", "fName", "contains", "an")])
-        sql = to_sql(spec, ldbc_lite(sf=0.01).schema)
+        sql = to_sql(spec)
         assert "b.fName LIKE '%an%'" in sql
 
     def test_startswith_like(self):
         spec = _spec(predicates=[Predicate("b", "fName", "startswith", "A")])
-        assert "LIKE 'A%'" in to_sql(spec, ldbc_lite(sf=0.01).schema)
+        assert "LIKE 'A%'" in to_sql(spec)
 
     def test_in_list(self):
         spec = _spec(predicates=[Predicate("b", "fName", "in", ["x", "y"])])
-        assert "b.fName IN ('x', 'y')" in to_sql(spec, ldbc_lite(sf=0.01).schema)
+        assert "b.fName IN ('x', 'y')" in to_sql(spec)
 
     def test_quote_escaping(self):
         spec = _spec(predicates=[Predicate("b", "fName", "=", "O'Neil")])
-        assert "'O''Neil'" in to_sql(spec, ldbc_lite(sf=0.01).schema)
+        assert "'O''Neil'" in to_sql(spec)
 
     def test_like_metachar_rejected(self):
         spec = _spec(predicates=[Predicate("b", "fName", "contains", "5%")])
         with pytest.raises(AssertionError):
-            to_sql(spec, ldbc_lite(sf=0.01).schema)
+            to_sql(spec)
 
     def test_prop_vs_prop(self):
         spec = _spec(predicates=[
             Predicate("k", "date", ">", None, rhs_var="b", rhs_prop="id"),
         ])
-        assert "k.date > b.id" in to_sql(spec, ldbc_lite(sf=0.01).schema)
+        assert "k.date > b.id" in to_sql(spec)
 
     @pytest.mark.parametrize("op", ["contains", "startswith"])
     def test_string_op_between_props_runs_in_duckdb(self, op):
@@ -170,7 +169,7 @@ class TestSQL:
             [Predicate("a", "s", op, rhs_var="b", rhs_prop="s")],
             [("a", "s"), ("b", "s")], ["a", "b"],
         )
-        got = con.execute(to_sql(spec, None)).fetchall()
+        got = con.execute(to_sql(spec)).fetchall()
         con.close()
         assert sorted(got) == sorted(p for p in pairs if scalar_op(op, *p))
 
@@ -179,4 +178,4 @@ class TestSQL:
             Predicate("a", "fName", "in", rhs_var="b", rhs_prop="lName"),
         ])
         with pytest.raises(ValueError):
-            to_sql(spec, ldbc_lite(sf=0.01).schema)
+            to_sql(spec)
