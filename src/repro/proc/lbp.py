@@ -247,7 +247,8 @@ def _count_tail(op: Operator, block_size: int) -> Operator | None:
 
 
 def _plan_batches(ops: list[Operator]) -> None:
-    """Backward liveness: each :class:`PhysBatchExtend` hands on only the
+    """Backward liveness: each :class:`PhysBatchExtend`,
+    :class:`PhysColumnExtend` and :class:`PhysFilter` hands on only the
     keys later operators read (the chain count's probe key is the second
     hop's band operand: this runs before the chain is fused)."""
     live: set[str] = set()
@@ -257,9 +258,11 @@ def _plan_batches(ops: list[Operator]) -> None:
         elif isinstance(op, PhysVertexPropRead):
             live = live - {op.key} | {op.var}
         elif isinstance(op, PhysColumnExtend):
+            op.live = live
             made = {op.out_var} | {f"{op.edge_var}.{p}" for p in op.eprops}
             live = live - made | {op.src_var}
         elif isinstance(op, PhysFilter):
+            op.live = live
             live = live | {op.lkey, op.rkey} - {None}
         elif isinstance(op, CollectSink):
             live = live | set(op.keys)

@@ -27,6 +27,9 @@ of input rows over their lists).
   no edge.
 - :class:`PhysFilter` evaluates list/literal and list/list predicates
   and compacts the group.
+- In a compiled plan, :class:`PhysColumnExtend` and :class:`PhysFilter`
+  hand on, and so compact, only the blocks later operators read (their
+  ``live``); hand-built ones hand on every block.
 - :class:`CountSink` counts tuples; the fused
   :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`
   implement the terminal extend-then-count(*) case without enumerating
@@ -631,6 +634,7 @@ class PhysColumnExtend(Operator):
         self.src_var, self.out_var, self.edge_var = src_var, out_var, edge_var
         self.estore, self.direction, self.eprops = estore, direction, eprops
         self.vcol = estore.nbr_vcol(direction)
+        self.live: set[str] | None = None  # keys handed on; None: all
 
     def _new_blocks(self, src_data: np.ndarray):
         vals, nulls = self.vcol.get_many(src_data.astype(np.int64))
@@ -649,6 +653,7 @@ class PhysColumnExtend(Operator):
     def consume(self, group: ListGroup) -> None:
         blocks, nulls = self._new_blocks(group.blocks[self.src_var].data)
         out = ListGroup({**group.blocks, **blocks}, group.size)
+        out = _live(out, self.live)
         if nulls.any():
             out = out.take(~nulls)  # drop the tuples with no edge
             if out.size == 0:
@@ -833,6 +838,7 @@ class PhysFilter(Operator):
             f"{pred.rhs_var}.{pred.rhs_prop}" if pred.rhs_var else None
         )
         self.memo: dict = {}  # dictionary masks of the literal, this query
+        self.live: set[str] | None = None  # keys handed on; None: all
 
     def consume(self, group: ListGroup) -> None:
         p, lblk = self.pred, group.blocks[self.lkey]
@@ -840,10 +846,19 @@ class PhysFilter(Operator):
             mask = eval_block_vs_literal(p.op, lblk, p.value, self.memo)
         else:
             mask = eval_block_vs_block(p.op, lblk, group.blocks[self.rkey])
-        if mask.all():
-            self.next.consume(group)
-        elif mask.any():
-            self.next.consume(group.take(mask))
+        if not mask.any():
+            return
+        group = _live(group, self.live)
+        self.next.consume(group if mask.all() else group.take(mask))
+
+
+def _live(group: ListGroup, live: set[str] | None) -> ListGroup:
+    """``group`` with only the blocks in ``live`` (None: every block)."""
+    if live is None:
+        return group
+    return ListGroup(
+        {k: b for k, b in group.blocks.items() if k in live}, group.size
+    )
 
 
 class CountSink(Operator):

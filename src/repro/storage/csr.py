@@ -13,6 +13,14 @@ ablation axis:
 - ``null_compress``: empty adjacency lists compressed away — offsets are
   kept only for vertices with non-empty lists, found through a
   :class:`JacobsonIndex` rank (constant-time, §5.3).
+
+A null-compressed CSR decodes list ranges by access pattern (Abadi,
+Madden & Ferreira, "Integrating Compression and Execution in
+Column-Oriented Database Systems", SIGMOD 2006): a lookup of fewer
+lists than the CSR has owners takes the Jacobson rank of each, a point
+access; a lookup of at least that many decodes every owner's range with
+one prefix sum over the presence bits and gathers from it, a sequential
+decode.
 """
 from __future__ import annotations
 
@@ -89,17 +97,26 @@ class CSR:
     def ranges_of(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (starts, ends); empty lists give start == end.
 
-        Under null compression this is one Jacobson pass over every
-        vertex, present or not: the rank of a vertex with no list is the
-        index of the next non-empty list, and its presence bit, read from
-        the same word, zeroes both ends, so an empty list is exactly
-        ``(0, 0)``.
+        Under null compression each list's offsets sit at its vertex's
+        rank ``r``, the number of non-empty lists before it: its range
+        is ``(offsets[r]·bit, offsets[r + bit]·bit)``, with ``bit`` the
+        vertex's presence bit, so an empty list is exactly ``(0, 0)``.
+        A lookup of fewer than ``n_vertices`` lists takes ``r`` and
+        ``bit`` from one Jacobson pass over ``vs``, O(len(vs)). A longer
+        one unpacks the bits once, takes every owner's rank as the
+        exclusive prefix sum of the bits, and gathers each list's range
+        from the per-owner ranges, O(n_vertices + len(vs)).
         """
         vs = np.asarray(vs, dtype=np.int64)
-        if self.null_compress:
+        if not self.null_compress:
+            return self.offsets[vs], self.offsets[vs + 1]
+        if len(vs) < self.n_vertices:
             r, bit = self.index.rank(vs, with_bits=True)
             return self.offsets[r] * bit, self.offsets[r + bit] * bit
-        return self.offsets[vs], self.offsets[vs + 1]
+        bit = self.index.unpack_all().astype(np.int64)
+        r = np.cumsum(bit) - bit
+        starts, ends = self.offsets[r] * bit, self.offsets[r + bit] * bit
+        return starts[vs], ends[vs]
 
     def degrees_of(self, vs: np.ndarray) -> np.ndarray:
         s, e = self.ranges_of(vs)

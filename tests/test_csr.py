@@ -1,8 +1,11 @@
 """Unit tests for the CSR adjacency structure (§4.1.1)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.csr import CSR
+from repro.storage.null_compression import JacobsonIndex
 
 OWNERS = np.array([3, 0, 3, 1, 3, 0])
 NBRS = np.array([7, 1, 8, 2, 9, 0])
@@ -122,3 +125,59 @@ def test_null_compressed_ranges_of_at_scale():
     ])
     for v in picks:
         assert (int(starts[v]), int(ends[v])) == sparse.range_of(int(v))
+    p_starts, p_ends = sparse.ranges_of(picks)  # fewer lists than owners
+    assert (p_starts == starts[picks]).all() and (p_ends == ends[picks]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 17, 2300]),
+    fill=st.sampled_from(["none", "all", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+    null_compress=st.booleans(),
+)
+def test_both_lookup_routes_match_range_of(n, fill, seed, null_compress):
+    # Lookups of n - 1 lists take the rank route; n, n + 1 and 2n lists
+    # (with repeats) the prefix-sum route. Both equal range_of per owner.
+    g = np.random.default_rng(seed)
+    degrees = np.zeros(n, np.int64) if fill == "none" else g.integers(1, 4, n)
+    if fill == "mixed" and n:
+        degrees[g.random(n) < 0.5] = 0
+        degrees[[0, -1]] = 0  # empty lists at both ends
+    owners = np.repeat(np.arange(n), degrees)
+    nbrs = g.integers(0, max(n, 1), len(owners))
+    csr = CSR(n, owners, nbrs, null_compress=null_compress)
+    ref = np.array([csr.range_of(v) for v in range(n)], np.int64).reshape(n, 2)
+    for length in (n - 1, n, n + 1, 2 * n):
+        if length < 0 or (n == 0 and length):
+            continue
+        vs = g.integers(0, max(n, 1), length)
+        starts, ends = csr.ranges_of(vs)
+        assert (starts == ref[vs, 0]).all() and (ends == ref[vs, 1]).all()
+        assert (csr.degrees_of(vs) == ends - starts).all()
+
+
+def test_lookup_route_follows_its_length(monkeypatch):
+    # A lookup of at least n_vertices lists never ranks; a shorter one
+    # (an LDBC point query's) keeps the Jacobson rank.
+    n = 40
+    owners = np.repeat(np.arange(n), np.arange(n) % 3)
+    csr = CSR(n, owners, np.zeros(len(owners), np.int64), null_compress=True)
+    want = [csr.range_of(v) for v in range(n)]
+    real = JacobsonIndex.rank
+
+    def refuse(*args, **kw):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(JacobsonIndex, "rank", refuse)
+    for vs in (np.arange(n), np.arange(2 * n) % n):
+        starts, ends = csr.ranges_of(vs)
+        assert list(zip(starts, ends)) == [want[v] for v in vs]
+    calls = []
+    monkeypatch.setattr(
+        JacobsonIndex, "rank",
+        lambda self, idx, **kw: calls.append(len(idx)) or real(self, idx, **kw),
+    )
+    starts, ends = csr.ranges_of(np.arange(n - 1))
+    assert calls == [n - 1]
+    assert list(zip(starts, ends)) == want[:n - 1]

@@ -23,6 +23,8 @@ from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
     BLOCK_SIZE,
     PhysBatchExtend,
+    PhysColumnExtend,
+    PhysFilter,
     _eprop_block_multi,
     cut_ranges,
 )
@@ -316,10 +318,11 @@ def _pipeline(scan):
 
 @pytest.mark.parametrize("which", ["ldbc", "imdb"])
 def test_batches_hand_on_only_live_keys(request, which):
-    # Each key a batch extend hands on is looked up by a later operator,
-    # checked where every later operator received a group.
+    # Each key a batch extend, column extend or filter hands on is looked
+    # up by a later operator, checked where every later operator received
+    # a group.
     store = request.getfixturevalue(f"{which}_store")
-    checked = 0
+    checked = Counter()
     for spec in ALL_LDBC if which == "ldbc" else JOB_QUERIES:
         scan, _ = compile_lbp(store, spec, block_size=64)
         ops = _pipeline(scan)
@@ -335,22 +338,30 @@ def test_batches_hand_on_only_live_keys(request, which):
             op.consume = traced
         scan.run()
         for i, op in enumerate(ops):
-            if isinstance(op, PhysBatchExtend) and all(ran[i:]):
+            if isinstance(op, _PLANNED) and all(ran[i:]):
                 later = set().union(*reads[i + 1:])
                 assert handed[i] <= later, (spec.name, handed[i] - later)
-                checked += 1
-    assert checked >= 10
+                checked[type(op)] += 1
+    assert checked[PhysBatchExtend] >= 10
+    assert checked[PhysFilter] >= 3, checked
+    if which == "ldbc":  # JOB has no single-cardinality edge
+        assert checked[PhysColumnExtend] >= 3, checked
+
+
+_PLANNED = (PhysBatchExtend, PhysColumnExtend, PhysFilter)
 
 
 def _keep_everything(ops):
     for op in ops:
         if isinstance(op, PhysBatchExtend):
             op.steps = None  # planned at its first group, keeping all
+        assert getattr(op, "live", None) is None  # unplanned: keeps all
 
 
 def test_ldbc_frames_unchanged_by_keep_set(monkeypatch, ldbc_store):
-    # Without the keep-set every batch extend hands on every block; the
-    # frames must be identical, row order and dtypes included.
+    # Without the keep-set every batch extend, column extend and filter
+    # hands on every block; the frames must be identical, row order and
+    # dtypes included.
     for block_size in (3, BLOCK_SIZE):
         live = [run_lbp(ldbc_store, s, block_size=block_size) for s in ALL_LDBC]
         with monkeypatch.context() as m:

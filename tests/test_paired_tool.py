@@ -1,4 +1,5 @@
-"""``tools/paired.py``: the sign test and the per-metric summary."""
+"""``tools/paired.py``: the sign test, the per-metric summary and the
+stop on a failed or wrong run (a stub stands in for ``perfbench/run.py``)."""
 import importlib.util
 from pathlib import Path
 
@@ -44,3 +45,44 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert p50.split()[0] == "latency_p50_ms" and " 4/4 " in p50
     assert qps.split()[3] == "1.493"  # median of 150/100 … 153/103
     assert qps.endswith("yes") and p50.endswith("yes")
+
+
+_STUB = '''\
+import json, sys
+print("FAILED ic3: answer differs from the oracle", file=sys.stderr)
+print("metrics line")
+print(json.dumps({{"correct": {correct}, "metrics": {{}}}}))
+sys.exit({status})
+'''
+
+
+def _stub_checkout(tmp_path, *, correct=True, status=0):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        _STUB.format(correct=correct, status=status)
+    )
+    return tmp_path
+
+
+def test_good_run_returns_its_last_line(tmp_path):
+    res = paired.run_once(_stub_checkout(tmp_path), "parent", "w", 31, 1)
+    assert res == {"correct": True, "metrics": {}}
+
+
+@pytest.mark.parametrize(
+    "correct, status, why",
+    [
+        (True, 3, "exited with status 3"),
+        (False, 0, "reported correct: false"),
+    ],
+)
+def test_bad_run_stops_with_side_seed_and_stderr(
+    tmp_path, capsys, correct, status, why
+):
+    checkout = _stub_checkout(tmp_path, correct=correct, status=status)
+    with pytest.raises(SystemExit) as stop:
+        paired.run_once(checkout, "change", "paths-fwd", 104729, 1)
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert "change run of paths-fwd on seed 104729 " + why in err
+    assert "FAILED ic3: answer differs from the oracle" in err

@@ -22,7 +22,8 @@ CHANGE / PARENT, each side's quartiles and median, the pairs CHANGE
 wins (ties excluded), the two-sided sign-test p-value, and whether the
 gap of the medians exceeds the parent's interquartile range. The last
 JSON line of every run goes to ``--out`` with its pair, side, seed and
-order.
+order. A run that fails, or answers a query wrongly, stops the
+comparison with its side, seed and the end of its stderr.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ from pathlib import Path
 #: Pair ``i`` runs seed ``SEEDS[i]``; 104729 is the benchmark's held-out seed.
 SEEDS = [104729, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45]
 WORKTREE = "WORKTREE"
+#: Lines of a bad run's stderr repeated when the comparison stops.
+STDERR_LINES = 20
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -69,14 +72,38 @@ def export(rev: str, repo: Path, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last JSON line of one ``perfbench/run.py`` run in ``checkout``."""
-    out = subprocess.run(
+def run_once(
+    checkout: Path, side: str, workload: str, seed: int, seconds: float
+) -> dict:
+    """The last JSON line of one ``perfbench/run.py`` run in ``checkout``.
+
+    A run that exits non-zero, prints no JSON last line or reports
+    ``"correct": false`` stops the comparison: the side, the seed and
+    the last lines of the run's stderr (its ``FAILED <query>`` lines) go
+    to stderr, and the exit status is 1.
+    """
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    try:
+        res = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        res = None
+    if proc.returncode:
+        why = f"exited with status {proc.returncode}"
+    elif not isinstance(res, dict):
+        why = "printed no JSON last line"
+    elif res.get("correct") is not True:
+        why = f"reported correct: {json.dumps(res.get('correct'))}"
+    else:
+        return res
+    tail = proc.stderr.strip().splitlines()[-STDERR_LINES:]
+    print(f"{side} run of {workload} on seed {seed} {why}; last lines of "
+          f"its stderr:", *(f"  {line}" for line in tail), sep="\n",
+          file=sys.stderr)
+    raise SystemExit(1)
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -160,7 +187,8 @@ def main(argv=None) -> None:
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for k, side in enumerate(order):
                 res = run_once(
-                    dirs[side], args.workload, SEEDS[i], bench["run_seconds"]
+                    dirs[side], side, args.workload, SEEDS[i],
+                    bench["run_seconds"],
                 )
                 row = {
                     "pair": i, "side": side, "rev": sides[side],
