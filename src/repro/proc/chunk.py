@@ -1,15 +1,16 @@
 """The LBP intermediate: one unflat list group (paper §6.1).
 
 A :class:`ListGroup` holds aligned :class:`Block`\\ s, one per variable
-or property, and represents as many tuples as they are long. Operators
-hand a new group downstream instead of mutating a shared one. The
-paper's intermediate is a factorized union of flat and unflat groups;
-compiled plans here hold exactly one unflat group, because every
-extend replaces its input group by the expanded one, and factorization
-lives in the count tails (list lengths and prefix sums, never
-enumerating the last hop). Blocks are variable-length and are
-frequently **views** over CSR / property-page arrays, which is how LBP
-avoids materializing adjacency lists.
+or property, and a per-row multiplicity ``mult``: row ``i`` stands for
+``mult[i]`` tuples (None: one each). Operators hand a new group
+downstream instead of mutating a shared one. The paper's intermediate
+is a factorized union of flat and unflat groups; compiled plans here
+hold one group whose rows are flat, and keep unflat the adjacency lists
+nothing after their extend reads, as the row's multiplicity (their
+lengths, multiplied along the plan), as the count tails keep the last
+hop's lists as lengths and prefix sums. Blocks are variable-length and
+are frequently **views** over CSR / property-page arrays, which is how
+LBP avoids materializing adjacency lists.
 """
 from __future__ import annotations
 
@@ -54,15 +55,21 @@ class Block:
 
 @dataclass(eq=False)
 class ListGroup:
-    """``size`` tuples as aligned blocks, keyed by variable or
-    ``var.prop``."""
+    """``size`` rows as aligned blocks, keyed by variable or
+    ``var.prop``; row ``i`` stands for ``mult[i]`` tuples (None: 1)."""
 
     blocks: dict[str, Block]
     size: int
+    mult: np.ndarray | None = None
 
     def take(self, mask: np.ndarray) -> "ListGroup":
-        """The tuples where the boolean ``mask`` is set."""
+        """The rows where the boolean ``mask`` is set."""
         return ListGroup(
             {k: b.take(mask) for k, b in self.blocks.items()},
             int(mask.sum()),
+            None if self.mult is None else self.mult[mask],
         )
+
+    def tuples(self) -> int:
+        """The tuples the rows stand for."""
+        return self.size if self.mult is None else int(self.mult.sum())

@@ -26,12 +26,15 @@ emits the operators that run over a :class:`GraphStore`:
   after it can match on a sorted numeric column (:func:`scan_bounds`),
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
 
-The pipeline passes one unflat list group at a time: each extend
-hands downstream a new group in place of its input, holding only the
-blocks later operators read (:func:`_plan_batches`), so factorization
-is kept only where a count never needs the tuples (the count tails'
-list lengths and prefix sums, the chain count's suffix weights, and
-:func:`_try_vectorized_count`).
+The pipeline passes one list group at a time, each row with a
+multiplicity: each extend hands downstream a new group in place of its
+input, holding only the blocks later operators read
+(:func:`_plan_batches`). Factorization is kept where nothing needs the
+tuples: a CSR extend whose out-vertex and edge nothing later reads
+keeps its lists unflat as the rows' multiplicities (``mult_only``, set
+by the same liveness pass), and the count tails' list lengths and prefix
+sums, the chain count's suffix weights and
+:func:`_try_vectorized_count` never enumerate the last hop.
 
 ``run_lbp`` executes the pipeline single-threaded and returns an int
 (count) or a pandas DataFrame (projections). The Spark-parallel variant
@@ -250,7 +253,8 @@ def _plan_batches(ops: list[Operator]) -> None:
     """Backward liveness: each :class:`PhysBatchExtend`,
     :class:`PhysColumnExtend` and :class:`PhysFilter` hands on only the
     keys later operators read (the chain count's probe key is the second
-    hop's band operand: this runs before the chain is fused)."""
+    hop's band operand: this runs before the chain is fused), and a batch
+    extend none of whose keys are read keeps its lists unflat."""
     live: set[str] = set()
     for op in reversed(ops):
         if isinstance(op, PhysBatchExtend):

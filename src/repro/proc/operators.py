@@ -14,11 +14,17 @@ of input rows over their lists).
   once per piece of at most ``block_size`` adjacency positions
   (:func:`cut_ranges`), so intermediates stay bounded however many hops
   a plan expands.
+- Each row of a group stands for ``mult`` tuples (None: one); every
+  operator hands the multiplicity on with the row, and the count sinks
+  and tails weight by it.
 - :class:`PhysBatchExtend` is the ListExtend of compiled plans, with
   the out-vertex property reads and filters that follow it. It filters
   each piece before it flattens it: cheap predicates first, each later
   one read and tested only at the surviving positions, and it hands on
-  only the blocks later operators read.
+  only the blocks later operators read. When nothing after it reads its
+  out-vertex or edge and it has no predicate or read, it keeps the lists
+  unflat: each input row goes on once, its multiplicity times its
+  list's length.
 - :class:`PhysListExtend` reads one adjacency list at a time; no plan
   holds it. It is the per-list reference the batched edge-property
   reads are tested against.
@@ -30,13 +36,13 @@ of input rows over their lists).
 - In a compiled plan, :class:`PhysColumnExtend` and :class:`PhysFilter`
   hand on, and so compact, only the blocks later operators read (their
   ``live``); hand-built ones hand on every block.
-- :class:`CountSink` counts tuples; the fused
+- :class:`CountSink` counts tuples, summing multiplicities; the fused
   :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`
   implement the terminal extend-then-count(*) case without enumerating
   the last hop at all.
 - :class:`PhysExtendFilterCount` counts a terminal extend's filtered
   lists. When all its predicates compare to literals, it switches, once
-  it has expanded as many positions as the CSR has edges, to a per-query
+  it has expanded more positions than the CSR has edges, to a per-query
   prefix sum of the predicate mask over the CSR: each later list costs
   ``cum[end] - cum[start]``, with no property read or comparison.
 - :class:`PhysChainCount` counts a chain of extends whose consecutive
@@ -46,7 +52,9 @@ of input rows over their lists).
   per-edge suffix weights once per query, from the last hop back, and
   counts each later row with one binary search over a list's sorted
   values (:class:`_SuffixSums`).
-- :class:`CollectSink` decodes the RETURN columns.
+- :class:`CollectSink` keeps the RETURN blocks encoded and decodes each
+  column once, at :meth:`CollectSink.result`, repeating each row by its
+  multiplicity.
 """
 from __future__ import annotations
 
@@ -117,7 +125,9 @@ class PhysVertexPropRead(Operator):
     def consume(self, group: ListGroup) -> None:
         vals, nulls = self.vcol.get_many(group.blocks[self.var].data)
         blk = _block(self.vcol, vals, nulls)
-        self.next.consume(ListGroup({**group.blocks, self.key: blk}, group.size))
+        self.next.consume(
+            ListGroup({**group.blocks, self.key: blk}, group.size, group.mult)
+        )
 
 
 def concat_ranges(
@@ -287,14 +297,15 @@ class PhysExtendFilterCount(Operator):
     When every predicate compares to a literal, the mask of an edge does
     not depend on the tuple that reaches it, so only the *size* of each
     filtered list matters (count(*) on the factorized form, §6.2). Once
-    the positions this operator has expanded in the query reach the
+    the positions this operator has expanded in the query exceed the
     CSR's edge count, it evaluates the mask once over the whole CSR, in
     pieces of ``block_size`` positions, and keeps its prefix sum ``cum``
     (8 bytes per edge); from then on the filtered size of list
     ``[s, e)`` is ``cum[e] - cum[s]``, with no property read, comparison
     or range concatenation. The threshold bounds the extra work of the
     one whole-CSR pass by what the operator has already read, so a
-    selective tail that touches few lists never pays for it.
+    selective tail that touches few lists, or a query that reads each
+    list at most once, never pays for it.
     """
 
     def __init__(
@@ -322,10 +333,10 @@ class PhysExtendFilterCount(Operator):
         starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         if self.cum is None and self.literal_only:
             self.expanded += int((ends - starts).sum())
-            if self.expanded >= self.csr.n_edges > 0:
+            if self.expanded > self.csr.n_edges > 0:
                 self.cum = self._prefix_sum()
         if self.cum is not None:
-            self.count += int((self.cum[ends] - self.cum[starts]).sum())
+            self.count += _weighted(self.cum[ends] - self.cum[starts], group.mult)
             return
         for piece in cut_ranges(starts, ends, self.block_size):
             self._count(group, *piece)
@@ -355,7 +366,15 @@ class PhysExtendFilterCount(Operator):
             lblk = _read_once(self, blocks, p.prop, srcs, lens, idx, contig)
             rblk = group.blocks[f"{p.rhs_var}.{p.rhs_prop}"]
             mask &= eval_block_vs_block(p.op, lblk, _expand(rblk, rows, lens))
-        self.count += int(mask.sum())
+        if group.mult is None:
+            self.count += int(mask.sum())
+        else:
+            self.count += int(np.repeat(group.mult[rows], lens)[mask].sum())
+
+
+def _weighted(counts: np.ndarray, mult: np.ndarray | None) -> int:
+    """The sum of per-row ``counts``, each times its row's multiplicity."""
+    return int(counts.sum() if mult is None else (counts * mult).sum())
 
 
 def _expand(block: Block, rows, lens: np.ndarray) -> Block:
@@ -652,7 +671,7 @@ class PhysColumnExtend(Operator):
 
     def consume(self, group: ListGroup) -> None:
         blocks, nulls = self._new_blocks(group.blocks[self.src_var].data)
-        out = ListGroup({**group.blocks, **blocks}, group.size)
+        out = ListGroup({**group.blocks, **blocks}, group.size, group.mult)
         out = _live(out, self.live)
         if nulls.any():
             out = out.take(~nulls)  # drop the tuples with no edge
@@ -691,8 +710,16 @@ class PhysBatchExtend(Operator):
     has evaluated as many rows as its column has vertices evaluates the
     column once into a per-query mask (NULL false); later pieces gather
     ``mask[nbr]``. The piece handed on holds only the keep-set, each
-    block gathered once at the survivors (input blocks through
-    ``np.repeat(rows, lens)[sel]``).
+    block gathered once at the survivors (input blocks and the rows'
+    multiplicities through ``np.repeat(rows, lens)[sel]``).
+
+    An extend with no predicate or property read whose out-vertex and
+    edge no later operator reads is **multiplicity-only** (``mult_only``,
+    set by :meth:`plan`): its lists stay unflat (Olteanu & Závodný, "Size
+    Bounds for Factorised Representations of Query Results", TODS 2015).
+    It looks up the input's list ranges once, drops the rows with empty
+    lists and hands on each other row once, its multiplicity times its
+    list's length, without cutting or expanding the lists.
     """
 
     def __init__(
@@ -714,6 +741,7 @@ class PhysBatchExtend(Operator):
         self.block_size = block_size
         self.csr = estore.csr(direction)
         self.steps: list[_Step] | None = None  # set by :meth:`plan`
+        self.mult_only = False  # set by :meth:`plan`
 
     def plan(self, live: set[str] | None, inputs=()) -> set[str]:
         """Fix the predicate order, each key's source and the blocks to
@@ -726,6 +754,7 @@ class PhysBatchExtend(Operator):
             srcs[f"{self.out_var}.{prop}"] = ("v", vcol)
         live = srcs.keys() | inputs if live is None else live
         self.outputs = [(k, srcs.get(k) or ("in", k)) for k in live]
+        self.mult_only = not self.preds and not live & srcs.keys()
         steps = [_Step(p, srcs) for p in self.preds]
         self.memos = [st.memo for st in steps]  # in ``preds`` order
         # Stable: cheap literals keep their query order.
@@ -752,8 +781,23 @@ class PhysBatchExtend(Operator):
         if self.steps is None:  # not compiled: hand on every block
             self.plan(None, group.blocks)
         starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
+        if self.mult_only:
+            self._multiply(group, ends - starts)
+            return
         for piece in cut_ranges(starts, ends, self.block_size):
             self._extend(group, *piece)
+
+    def _multiply(self, group, lens: np.ndarray) -> None:
+        """Hand on the rows with a non-empty list, each once, with its
+        multiplicity times its list's length."""
+        keep = lens > 0
+        if not keep.any():
+            return
+        mult = lens if group.mult is None else lens * group.mult
+        out = ListGroup(
+            {k: group.blocks[k] for k, _ in self.outputs}, group.size, mult
+        )
+        self.next.consume(out if keep.all() else out.take(keep))
 
     def _extend(self, group, rows, idx, contig, lens) -> None:
         nbr = self.csr.nbr[slice(*contig) if contig else idx]
@@ -776,7 +820,11 @@ class PhysBatchExtend(Operator):
             k: cache.get(k) or self._read(src, piece, sel, at)
             for k, src in self.outputs
         }
-        self.next.consume(ListGroup(blocks, len(nbr) if sel is None else len(sel)))
+        mult = group.mult
+        if mult is not None:
+            mult = np.repeat(mult[rows], lens) if sel is None else mult[at]
+        size = len(nbr) if sel is None else len(sel)
+        self.next.consume(ListGroup(blocks, size, mult))
 
     def _get(self, key, src, keep, piece, sel, at, cache) -> Block:
         """Block ``key`` from ``cache``, else read (and cached if ``keep``)."""
@@ -857,19 +905,20 @@ def _live(group: ListGroup, live: set[str] | None) -> ListGroup:
     if live is None:
         return group
     return ListGroup(
-        {k: b for k, b in group.blocks.items() if k in live}, group.size
+        {k: b for k, b in group.blocks.items() if k in live},
+        group.size, group.mult,
     )
 
 
 class CountSink(Operator):
-    """count(*): the sum of the sizes of the groups it receives."""
+    """count(*): the sum of the tuples of the groups it receives."""
 
     def __init__(self) -> None:
         super().__init__()
         self.count = 0
 
     def consume(self, group: ListGroup) -> None:
-        self.count += group.size
+        self.count += group.tuples()
 
 
 class PhysCountListExtend(Operator):
@@ -885,7 +934,7 @@ class PhysCountListExtend(Operator):
 
     def consume(self, group: ListGroup) -> None:
         srcs = group.blocks[self.src_var].data.astype(np.int64)
-        self.count += int(self.csr.degrees_of(srcs).sum())
+        self.count += _weighted(self.csr.degrees_of(srcs), group.mult)
 
 
 class PhysCountColumnExtend(Operator):
@@ -900,37 +949,63 @@ class PhysCountColumnExtend(Operator):
     def consume(self, group: ListGroup) -> None:
         srcs = group.blocks[self.src_var].data.astype(np.int64)
         _, nulls = self.vcol.get_many(srcs)
-        self.count += int((~nulls).sum())
+        self.count += _weighted(~nulls, group.mult)
 
 
 class CollectSink(Operator):
-    """Collect the decoded RETURN columns of every group.
+    """Collect the RETURN columns of every group, decoded once.
 
-    Per-group output is kept as raw numpy arrays; the pandas frame is
-    assembled once at :meth:`result` (a DataFrame per group would
-    dominate runtime for selective queries emitting many small groups).
-    The frame wraps the arrays ``np.concatenate`` has just made, without
-    copying them again: they alias no store array.
+    The blocks are kept as they arrive, encoded (codes, NULL mask,
+    dictionary), with each group's multiplicities; :meth:`result`
+    concatenates each key's blocks once, decodes them once through one
+    dictionary-plus-NULL table (the blocks of a key come from one column,
+    so they share its dictionary) and repeats each row by its
+    multiplicity (Abadi et al., "Materialization Strategies in a
+    Column-Oriented DBMS", ICDE 2007: materialize at the sink). The
+    pandas frame is assembled once, at :meth:`result`, and wraps the
+    arrays just made without copying them again: they alias no store
+    array.
     """
 
     def __init__(self, keys: list[str], names: list[str]) -> None:
         super().__init__()
         self.keys, self.names = keys, names
-        self.parts: dict[str, list[np.ndarray]] = {k: [] for k in keys}
+        self.parts: dict[str, list[Block]] = {k: [] for k in keys}
+        self.mults: list[np.ndarray | None] = []
+        self.sizes: list[int] = []
 
     def consume(self, group: ListGroup) -> None:
         if group.size == 0:
             return
         for k in self.keys:
-            self.parts[k].append(group.blocks[k].decoded())
+            self.parts[k].append(group.blocks[k])
+        self.mults.append(group.mult)
+        self.sizes.append(group.size)
 
     def result(self) -> pd.DataFrame:
-        if not self.keys or not self.parts[self.keys[0]]:
+        if not self.keys or not self.sizes:
             return pd.DataFrame({n: [] for n in self.names})
+        mult = None
+        if any(m is not None for m in self.mults):
+            mult = np.concatenate([
+                np.ones(n, np.int64) if m is None else m
+                for m, n in zip(self.mults, self.sizes)
+            ])
         data = {}
         for k, n in zip(self.keys, self.names):
-            chunks = self.parts[k]
-            if any(c.dtype == object for c in chunks):
-                chunks = [c.astype(object) for c in chunks]
-            data[n] = np.concatenate(chunks)
+            col = _concat(self.parts[k]).decoded()
+            data[n] = col if mult is None else np.repeat(col, mult)
         return pd.DataFrame(data, copy=False)
+
+
+def _concat(blocks: list[Block]) -> Block:
+    """One key's blocks as one new block, over the first's dictionary."""
+    nulls = None
+    if any(b.nulls is not None for b in blocks):
+        nulls = np.concatenate([
+            np.zeros(len(b), bool) if b.nulls is None else b.nulls
+            for b in blocks
+        ])
+    return Block(
+        np.concatenate([b.data for b in blocks]), nulls, blocks[0].dictionary
+    )

@@ -103,9 +103,12 @@ class CSR:
         vertex's presence bit, so an empty list is exactly ``(0, 0)``.
         A lookup of fewer than ``n_vertices`` lists takes ``r`` and
         ``bit`` from one Jacobson pass over ``vs``, O(len(vs)). A longer
-        one unpacks the bits once, takes every owner's rank as the
-        exclusive prefix sum of the bits, and gathers each list's range
-        from the per-owner ranges, O(n_vertices + len(vs)).
+        one unpacks the bits once and gathers all ``n_vertices + 1``
+        per-owner offsets at once, ``offsets[r]`` with ``r`` the
+        inclusive prefix sum of the bits after a leading 0 (owner ``v``'s
+        start at ``v``, its end at ``v + 1``); it zeroes the empty lists'
+        two ends and gathers each list's range from them,
+        O(n_vertices + len(vs)).
         """
         vs = np.asarray(vs, dtype=np.int64)
         if not self.null_compress:
@@ -114,9 +117,10 @@ class CSR:
             r, bit = self.index.rank(vs, with_bits=True)
             return self.offsets[r] * bit, self.offsets[r + bit] * bit
         bit = self.index.unpack_all().astype(np.int64)
-        r = np.cumsum(bit) - bit
-        starts, ends = self.offsets[r] * bit, self.offsets[r + bit] * bit
-        return starts[vs], ends[vs]
+        r = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(bit, out=r[1:])
+        full = self.offsets[r]
+        return (full[:-1] * bit)[vs], (full[1:] * bit)[vs]
 
     def degrees_of(self, vs: np.ndarray) -> np.ndarray:
         s, e = self.ranges_of(vs)

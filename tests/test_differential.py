@@ -9,8 +9,11 @@ raw-string and NULL-heavy columns, string pairs also by CONTAINS and
 STARTS WITH; half the paths are inequality chains
 (each edge compared with the one before it), and a third of the stars
 stack two to four literals on one extend, dictionary or numeric ones
-mixed with raw-string CONTAINS / STARTS WITH. Outputs are count(*) or one
-or two projections, at ``block_size`` 1, 3 or the default. Each query's
+mixed with raw-string CONTAINS / STARTS WITH. A third of the other
+queries grow one or two leaf arms: an edge to a new vertex that no
+predicate or output reads, joined right after the vertex it hangs from,
+so its lists stay unflat as row multiplicities. Outputs are count(*) or
+one or two projections, at ``block_size`` 1, 3 or the default. Each query's
 ``run_lbp_df`` result must equal DuckDB's over ``to_sql``.
 
 Every choice comes from one ``random.Random`` that hypothesis seeds, so
@@ -78,6 +81,26 @@ def envs(ldbc, ldbc_store, imdb, imdb_store):
     yield out
     for env in out.values():
         env.con.close()
+
+
+def _leaf_arms(rnd, schema, vertices, edges) -> dict[str, str]:
+    """Add one or two edges, each from a vertex of the pattern to a new
+    one; returns each new vertex's anchor."""
+    anchors = {}
+    for anchor in rnd.sample(sorted(vertices), 1) * rnd.randint(1, 2):
+        incident = [
+            (e, side)
+            for e in schema.edges.values()
+            for side in ("src", "dst")
+            if getattr(e, side) == vertices[anchor]
+        ]
+        e, side = rnd.choice(incident)
+        new = f"v{len(vertices)}"
+        vertices[new] = e.dst if side == "src" else e.src
+        ends = (anchor, new) if side == "src" else (new, anchor)
+        edges.append(QueryEdge(*ends, e.name))
+        anchors[new] = anchor
+    return anchors
 
 
 def _pattern(rnd, schema, star: bool):
@@ -280,7 +303,11 @@ def queries(draw, envs):
             _pick_operand(rnd, groups)[::2] for _ in range(rnd.randint(1, 2))
         }
         returns = [(var, p.name) for var, p in sorted(picks, key=str)]
-    order = list(vertices)
+    leaves = (
+        _leaf_arms(rnd, env.schema, vertices, edges)
+        if not chain and rnd.random() < 1 / 3 else {}
+    )
+    order = [v for v in vertices if v not in leaves]
     if not chain:
         rnd.shuffle(order)
     elif rnd.random() < 0.5:
@@ -288,6 +315,8 @@ def queries(draw, envs):
     if stacked:
         order.remove("v0")
         order.insert(0, "v0")
+    for leaf, anchor in leaves.items():
+        order.insert(order.index(anchor) + 1, leaf)
     spec = QuerySpec("fuzz", vertices, edges, preds, returns, order)
     return env, spec, rnd.choice([1, 3, BLOCK_SIZE])
 

@@ -79,6 +79,17 @@ def test_ldbc_result_dtypes(ldbc_store, spec):
     assert " ".join(map(str, got.dtypes)) == _DTYPES[spec.name]
 
 
+@pytest.mark.parametrize("block_size", [1, 3])
+@pytest.mark.parametrize("spec", ALL_LDBC, ids=lambda s: s.name)
+def test_ldbc_result_dtypes_from_many_groups(ldbc_store, spec, block_size):
+    # Small blocks hand the sink many groups, some with NULLs or
+    # multiplicities and some without; it decodes each column once, to
+    # the names and dtypes a single group gives.
+    got = run_lbp_df(ldbc_store, spec, block_size=block_size)
+    assert list(got.columns) == [f"{v}_{p}" for v, p in spec.returns]
+    assert " ".join(map(str, got.dtypes)) == _DTYPES[spec.name]
+
+
 @pytest.mark.parametrize("store", ["ldbc_store", "ldbc_store_uncompressed"])
 def test_mutating_a_result_leaves_the_next_run_unchanged(request, store):
     # IS03's friend rows come from a knows CSR view, and without NULL

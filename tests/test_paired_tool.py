@@ -47,6 +47,31 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert qps.endswith("yes") and p50.endswith("yes")
 
 
+@pytest.mark.parametrize(
+    "better, parent, change, want",
+    [
+        ("higher", 100.0, 76.0, "yes"),  # 24% worse, bound 25%
+        ("higher", 100.0, 74.0, "no"),
+        ("higher", 100.0, 180.0, "yes"),  # better by any amount
+        ("lower", 10.0, 12.4, "yes"),
+        ("lower", 10.0, 12.6, "no"),
+        ("lower", 10.0, 3.0, "yes"),
+    ],
+)
+def test_bound_column_checks_the_worse_direction(better, parent, change, want):
+    rows = [
+        {"pair": i, "side": side, "result": {"metrics": {"m": {"value": v}}}}
+        for i in range(3)
+        for side, v in (("parent", parent + i * 1e-3), ("change", change))
+    ]
+    header, line = paired.summarize(
+        rows, [{"name": "m", "better": better, "bound": 0.25}]
+    )
+    assert header.split()[-2:] == ["bound", "gap>IQR"]
+    assert line.split()[-2] == want
+    assert paired.within_bound(parent, change, {"better": better}) == "-"
+
+
 _STUB = '''\
 import json, sys
 print("FAILED ic3: answer differs from the oracle", file=sys.stderr)

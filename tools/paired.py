@@ -19,8 +19,10 @@ host in phases of minutes falls on both sides evenly (Kalibera & Jones,
 "Rigorous Benchmarking in Reasonable Time", ISMM 2013). Per end-to-end
 metric of ``BENCHMARK.json`` it prints the median of the per-pair ratios
 CHANGE / PARENT, each side's quartiles and median, the pairs CHANGE
-wins (ties excluded), the two-sided sign-test p-value, and whether the
-gap of the medians exceeds the parent's interquartile range. The last
+wins (ties excluded), the two-sided sign-test p-value, whether CHANGE's
+median stays within the metric's ``bound`` of PARENT's in its worse
+direction (``-`` when the metric has no bound), and whether the gap of
+the medians exceeds the parent's interquartile range. The last
 JSON line of every run goes to ``--out`` with its pair, side, seed and
 order. A run that fails, or answers a query wrongly, stops the
 comparison with its side, seed and the end of its stderr.
@@ -123,14 +125,28 @@ def quartiles(xs: list[float]) -> list[float]:
     return [q1, statistics.median(xs), q3]
 
 
+def within_bound(parent: float, change: float, metric: dict) -> str:
+    """``yes`` when ``change`` is worse than ``parent`` by at most the
+    metric's relative ``bound``, ``no`` when by more, ``-`` unbounded."""
+    bound = metric.get("bound")
+    if bound is None:
+        return "-"
+    if metric["better"] == "higher":
+        ok = change >= parent * (1 - bound)
+    else:
+        ok = change <= parent * (1 + bound)
+    return "yes" if ok else "no"
+
+
 def summarize(rows: list[dict], end_to_end: list[dict]) -> list[str]:
-    """One line per metric: median ratio, wins, sign test, IQR check."""
+    """One line per metric: median ratio, wins, sign test, the bound
+    check of the medians, IQR check."""
     pairs: dict[int, dict[str, dict]] = {}
     for r in rows:
         pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
     lines = [
         f"{'metric':<16} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} "
-        f"{'ratio':>7} {'wins':>6} {'p':>7}  gap>IQR"
+        f"{'ratio':>7} {'wins':>6} {'p':>7} {'in bound':>8}  gap>IQR"
     ]
     for m in end_to_end:
         name, higher = m["name"], m["better"] == "higher"
@@ -152,7 +168,8 @@ def summarize(rows: list[dict], end_to_end: list[dict]) -> list[str]:
             f"{name:<16} {'/'.join(f'{x:.4g}' for x in qa):>30} "
             f"{'/'.join(f'{x:.4g}' for x in qb):>30} "
             f"{statistics.median(ratios) if ratios else float('nan'):>7.3f} "
-            f"{wins:>2}/{len(both):<3} {sign_test(wins, losses):>7.4f}  "
+            f"{wins:>2}/{len(both):<3} {sign_test(wins, losses):>7.4f} "
+            f"{within_bound(qa[1], qb[1], m):>8}  "
             f"{'yes' if gap > qa[2] - qa[0] else 'no'}"
         )
     return lines
