@@ -15,13 +15,13 @@ emits the operators that run over a :class:`GraphStore`:
 - ``block_size`` is the most tuples a list group may hold: the scan's
   vertices per block and the extends' adjacency positions per piece, so
   intermediates stay within it however many hops are expanded.
-- At count(*), :func:`_count_tail` turns the last operator into a count
-  on the factorized form, or appends a :class:`CountSink`.
-- A count(*) over a chain of CSR extends whose consecutive edges are
-  compared by a numeric inequality (Table 3's ``e_k.ts > e_{k-1}.ts``)
-  gets a :class:`PhysChainCount` after its first extend
-  (:func:`_fuse_chain_count`); the later extends and the count tail stay
-  as its pipeline until it switches to per-edge suffix weights.
+- Every count(*) plan ends in a :class:`CountSink`. A plan whose last
+  extend is filtered only by literals on its edge, or a chain of CSR
+  extends whose consecutive edges are compared by a numeric inequality
+  (Table 3's ``e_k.ts > e_{k-1}.ts``), gets a
+  :class:`PhysExtendFilterCount` before its last ``k`` extends
+  (:func:`_fuse_count`); those extends and the sink stay as its
+  pipeline until it switches to per-edge suffix weights.
 - The scan covers only the offsets that the literal predicates right
   after it can match on a sorted numeric column (:func:`scan_bounds`),
   so ``p.id = X`` scans one vertex; those filters stay in the plan.
@@ -30,11 +30,12 @@ The pipeline passes one list group at a time, each row with a
 multiplicity: each extend hands downstream a new group in place of its
 input, holding only the blocks later operators read
 (:func:`_plan_batches`). Factorization is kept where nothing needs the
-tuples: a CSR extend whose out-vertex and edge nothing later reads
-keeps its lists unflat as the rows' multiplicities (``mult_only``, set
-by the same liveness pass), and the count tails' list lengths and prefix
-sums, the chain count's suffix weights and
-:func:`_try_vectorized_count` never enumerate the last hop.
+tuples: the same liveness pass, and only it, turns an extend whose
+out-vertex and edge nothing later reads into one that keeps its lists
+unflat as the rows' multiplicities (:class:`PhysCountListExtend`,
+:class:`PhysCountColumnExtend`); a terminal extend of a count(*) plan is
+one, as :class:`CountSink` reads nothing. The counter's suffix weights
+and :func:`_try_vectorized_count` never enumerate the hops they count.
 
 ``run_lbp`` executes the pipeline single-threaded and returns an int
 (count) or a pandas DataFrame (projections). The Spark-parallel variant
@@ -51,7 +52,6 @@ from repro.proc.operators import (
     CountSink,
     Operator,
     PhysBatchExtend,
-    PhysChainCount,
     PhysColumnExtend,
     PhysCountColumnExtend,
     PhysCountListExtend,
@@ -199,11 +199,7 @@ def compile_lbp(
             raise TypeError(step)
 
     if spec.returns == "count":
-        tail = _count_tail(ops[-1], block_size)
-        if tail is None:
-            ops.append(CountSink())
-        else:
-            ops[-1] = tail
+        ops.append(CountSink())
     else:
         keys, names = [], []
         for var, prop in spec.returns:
@@ -212,69 +208,54 @@ def compile_lbp(
             names.append(f"{var}_{prop}")
         ops.append(CollectSink(keys, names))
     _plan_batches(ops)
-    sink = _fuse_chain_count(ops) or ops[-1]
+    sink = _fuse_count(ops) or ops[-1]
     for a, b in zip(ops, ops[1:]):
         a.next = b
     return ops[0], sink
 
 
-def _count_tail(op: Operator, block_size: int) -> Operator | None:
-    """The count(*) operator that replaces a plan's last operator ``op``
-    (paper §6.2, aggregation on the factorized form), or None:
-
-    - an extend with no property reads or filters counts list lengths
-      (:class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`);
-    - a CSR extend filtered only on its own edge's properties counts its
-      filtered lists (:class:`PhysExtendFilterCount`).
-    """
-    if isinstance(op, PhysColumnExtend) and not op.eprops:
-        return PhysCountColumnExtend(op.src_var, op.estore, op.direction)
-    if not isinstance(op, PhysBatchExtend) or op.vprop_reads:
-        return None
-    if not (op.preds or op.eprops):
-        return PhysCountListExtend(op.src_var, op.estore, op.direction)
-    preds = [_edge_lhs(p, op.edge_var) for p in op.preds]
-    if (
-        not preds
-        or any(
-            p.var != op.edge_var or p.rhs_var in (op.edge_var, op.out_var)
-            for p in preds
-        )
-        or set(op.eprops) - {p.prop for p in preds}
-    ):
-        return None
-    return PhysExtendFilterCount(
-        op.src_var, op.estore, op.direction, op.edge_var, preds,
-        block_size=block_size,
-    )
-
-
 def _plan_batches(ops: list[Operator]) -> None:
-    """Backward liveness: each :class:`PhysBatchExtend`,
+    """Backward liveness, in place: each :class:`PhysBatchExtend`,
     :class:`PhysColumnExtend` and :class:`PhysFilter` hands on only the
-    keys later operators read (the chain count's probe key is the second
-    hop's band operand: this runs before the chain is fused), and a batch
-    extend none of whose keys are read keeps its lists unflat."""
+    keys later operators read. An extend with no predicate whose
+    out-vertex and edge nothing later reads keeps its lists unflat: it
+    becomes a :class:`PhysCountListExtend` or a
+    :class:`PhysCountColumnExtend`. This is the one place that decides
+    so."""
     live: set[str] = set()
-    for op in reversed(ops):
+    for i in reversed(range(len(ops))):
+        op = ops[i]
+        if (
+            isinstance(op, (PhysBatchExtend, PhysColumnExtend))
+            and not getattr(op, "preds", None) and not live & _made(op)
+        ):
+            unflat = (
+                PhysCountListExtend if isinstance(op, PhysBatchExtend)
+                else PhysCountColumnExtend
+            )
+            ops[i] = op = unflat(op.src_var, op.estore, op.direction)
         if isinstance(op, PhysBatchExtend):
             live = op.plan(live)
         elif isinstance(op, PhysVertexPropRead):
             live = live - {op.key} | {op.var}
-        elif isinstance(op, PhysColumnExtend):
+        elif isinstance(op, PhysColumnExtend):  # with the unflat one
             op.live = live
-            made = {op.out_var} | {f"{op.edge_var}.{p}" for p in op.eprops}
-            live = live - made | {op.src_var}
+            live = live - _made(op) | {op.src_var}
+        elif isinstance(op, PhysCountListExtend):
+            op.live = live
+            live = live | {op.src_var}
         elif isinstance(op, PhysFilter):
             op.live = live
             live = live | {op.lkey, op.rkey} - {None}
         elif isinstance(op, CollectSink):
             live = live | set(op.keys)
-        elif not isinstance(op, (CountSink, PhysScan)):  # count extends
-            live = live | {op.src_var} | {
-                f"{p.rhs_var}.{p.rhs_prop}"
-                for p in getattr(op, "preds", ()) if p.rhs_var
-            }
+
+
+def _made(op: PhysBatchExtend | PhysColumnExtend) -> set[str]:
+    """The keys extend ``op`` adds to its groups."""
+    made = {op.out_var} | {f"{op.edge_var}.{p}" for p in op.eprops}
+    reads = getattr(op, "vprop_reads", ())
+    return made | {f"{op.out_var}.{p}" for p, _ in reads}
 
 
 def _edge_lhs(p: Predicate, evar: str | None) -> Predicate:
@@ -291,29 +272,55 @@ def _edge_lhs(p: Predicate, evar: str | None) -> Predicate:
     return p
 
 
-def _fuse_chain_count(ops: list[Operator]) -> PhysChainCount | None:
-    """Put a :class:`PhysChainCount` after the first extend of a chained
-    count(*) plan, in place; returns it, or None when the plan is not one.
-
-    The plan must be a scan, then CSR extends, each from the previous
-    one's out-vertex, ending in the fused count tail. Every predicate
-    compares an edge property to a literal, or, at most once per hop, a
-    numeric property of an edge to one of the edge before it with ``<``,
-    ``<=``, ``>`` or ``>=``; at least one such band exists. The extends
-    after the first stay in place as the chain's suffix pipeline.
+def _fuse_count(ops: list[Operator]) -> PhysExtendFilterCount | None:
+    """Put a :class:`PhysExtendFilterCount` before the last ``k`` extends
+    of a count(*) plan, in place, and return it; None when the plan is
+    neither a band chain (:func:`_band_chain`: ``k`` counts the extends
+    after the first, and the budget the edges of every extend) nor ends
+    in a CSR extend whose predicates all compare its edge to literals
+    (``k`` is 1, the budget its edges). It runs after
+    :func:`_plan_batches`, so an extend without a predicate is already a
+    :class:`PhysCountListExtend`. The extends stay in place as the
+    counter's pipeline.
     """
-    exts = ops[1:]
+    exts, last, sink = ops[1:-1], ops[-2], ops[-1]
+    if (
+        not isinstance(sink, CountSink)
+        or not isinstance(last, PhysBatchExtend) or last.vprop_reads
+    ):
+        return None
+    chain = _band_chain(exts)
+    if chain is not None:
+        hops, bands, floats = chain
+        n_edges = sum(op.csr.n_edges for op in exts)
+    elif all(p.var == last.edge_var and p.rhs_var is None for p in last.preds):
+        hops, bands, floats = [last], [None], [False]
+        n_edges = last.csr.n_edges
+    else:
+        return None
+    counter = PhysExtendFilterCount(hops, bands, floats, n_edges, sink)
+    ops.insert(len(ops) - 1 - len(hops), counter)
+    return counter
+
+
+def _band_chain(exts: list[Operator]):
+    """``(hops, bands, floats)`` of :class:`PhysExtendFilterCount` when
+    ``exts``, a plan's operators between scan and sink, are a band chain,
+    else None: CSR extends, each from the previous one's out-vertex. The
+    first one's predicates compare its edge to literals; each later
+    one's compare its edge to a literal or, at most once per hop, a
+    numeric property of its edge to one of the edge before it with
+    ``<``, ``<=``, ``>`` or ``>=`` (a band). At least one band exists."""
     if (
         len(exts) < 2
-        or not isinstance(exts[-1], PhysExtendFilterCount)
         or not all(
             isinstance(op, PhysBatchExtend) and not op.vprop_reads
-            for op in exts[:-1]
+            for op in exts
         )
         or any(p.rhs_var or p.var != exts[0].edge_var for p in exts[0].preds)
     ):
         return None
-    bands = []
+    bands, floats = [], []
     for prev, op in zip(exts, exts[1:]):
         preds = [_edge_lhs(p, op.edge_var) for p in op.preds]
         hop_bands = [p for p in preds if p.rhs_var is not None]
@@ -323,20 +330,19 @@ def _fuse_chain_count(ops: list[Operator]) -> PhysChainCount | None:
             or len(hop_bands) > 1
             or any(
                 b.rhs_var != prev.edge_var or b.op not in _BAND
-                or "str" in (op.estore.label.prop(b.prop).dtype,
-                             prev.estore.label.prop(b.rhs_prop).dtype)
                 for b in hop_bands
             )
         ):
             return None
+        dtypes = {op.estore.label.prop(b.prop).dtype for b in hop_bands}
+        dtypes |= {prev.estore.label.prop(b.rhs_prop).dtype for b in hop_bands}
+        if "str" in dtypes:
+            return None
         bands += hop_bands or [None]
+        floats.append("float64" in dtypes)
     if all(b is None for b in bands):
         return None
-    for a, b in zip(exts[1:], exts[2:]):
-        a.next = b
-    chain = PhysChainCount(exts[0], exts[1:], bands)
-    ops[2:] = [chain]
-    return chain
+    return exts[1:], bands, floats
 
 
 #: float64 sums of integers are exact while they stay below 2^53.

@@ -10,21 +10,23 @@ of input rows over their lists).
 - ``block_size`` (default :data:`BLOCK_SIZE`, ``1 << 15``) is the most
   tuples a list group may hold. :class:`PhysScan` emits
   ``block_size``-vertex blocks of its ``[lo, hi)`` range, and the CSR
-  extends :class:`PhysBatchExtend` / :class:`PhysExtendFilterCount` run
-  once per piece of at most ``block_size`` adjacency positions
-  (:func:`cut_ranges`), so intermediates stay bounded however many hops
-  a plan expands.
+  extend :class:`PhysBatchExtend` runs once per piece of at most
+  ``block_size`` adjacency positions (:func:`cut_ranges`), and the
+  counter's weights are built in such pieces, so intermediates stay
+  bounded however many hops a plan expands.
 - Each row of a group stands for ``mult`` tuples (None: one); every
-  operator hands the multiplicity on with the row, and the count sinks
-  and tails weight by it.
+  operator hands the multiplicity on with the row, and
+  :class:`CountSink` and the counter weight by it.
 - :class:`PhysBatchExtend` is the ListExtend of compiled plans, with
   the out-vertex property reads and filters that follow it. It filters
   each piece before it flattens it: cheap predicates first, each later
   one read and tested only at the surviving positions, and it hands on
-  only the blocks later operators read. When nothing after it reads its
-  out-vertex or edge and it has no predicate or read, it keeps the lists
-  unflat: each input row goes on once, its multiplicity times its
-  list's length.
+  only the blocks later operators read.
+- An extend with no predicate or property read whose out-vertex and
+  edge nothing after it reads keeps its lists unflat:
+  :class:`PhysCountListExtend` hands each input row with a non-empty
+  list on once, its multiplicity times its list's length, and
+  :class:`PhysCountColumnExtend` drops the rows with no edge.
 - :class:`PhysListExtend` reads one adjacency list at a time; no plan
   holds it. It is the per-list reference the batched edge-property
   reads are tested against.
@@ -36,22 +38,17 @@ of input rows over their lists).
 - In a compiled plan, :class:`PhysColumnExtend` and :class:`PhysFilter`
   hand on, and so compact, only the blocks later operators read (their
   ``live``); hand-built ones hand on every block.
-- :class:`CountSink` counts tuples, summing multiplicities; the fused
-  :class:`PhysCountListExtend` / :class:`PhysCountColumnExtend`
-  implement the terminal extend-then-count(*) case without enumerating
-  the last hop at all.
-- :class:`PhysExtendFilterCount` counts a terminal extend's filtered
-  lists. When all its predicates compare to literals, it switches, once
-  it has expanded more positions than the CSR has edges, to a per-query
-  prefix sum of the predicate mask over the CSR: each later list costs
-  ``cum[end] - cum[start]``, with no property read or comparison.
-- :class:`PhysChainCount` counts a chain of extends whose consecutive
-  edges are compared by ``<``, ``<=``, ``>`` or ``>=``. It hands its
-  input to the chain's own extends and tail until the second hop would
-  have expanded as many positions as the chain has edges; then it builds
+- Every count(*) plan ends in :class:`CountSink`, which counts tuples,
+  summing multiplicities.
+- :class:`PhysExtendFilterCount` sits before the last ``k`` extends of
+  a count(*) plan: a last extend filtered only by literals on its edge,
+  or a chain whose consecutive edges are compared by ``<``, ``<=``,
+  ``>`` or ``>=``. It hands its input to those extends until they would
+  have expanded more positions than its budget of edges; then it builds
   per-edge suffix weights once per query, from the last hop back, and
-  counts each later row with one binary search over a list's sorted
-  values (:class:`_SuffixSums`).
+  counts each later row with one list lookup, plus one binary search
+  over a list's sorted values when the hop has a band
+  (:class:`_SuffixSums`).
 - :class:`CollectSink` keeps the RETURN blocks encoded and decodes each
   column once, at :meth:`CollectSink.result`, repeating each row by its
   multiplicity.
@@ -260,9 +257,8 @@ def _csr_pieces(csr, block_size: int):
 
 
 def _read_once(op, blocks, prop, srcs, lens, idx, contig) -> Block:
-    """Edge property ``prop`` of extend ``op`` (a :class:`PhysBatchExtend`
-    or :class:`PhysExtendFilterCount`) over the given positions, read
-    once per piece into ``blocks``."""
+    """Edge property ``prop`` of batch extend ``op`` over the given
+    positions, read once per piece into ``blocks``."""
     if prop not in blocks:
         blocks[prop] = _eprop_block_multi(
             op.estore, prop, op.direction, srcs, lens, idx, contig, op.csr
@@ -279,102 +275,6 @@ def _literal_mask(op, blocks, srcs, lens, idx, contig) -> np.ndarray:
             lblk = _read_once(op, blocks, p.prop, srcs, lens, idx, contig)
             mask &= eval_block_vs_literal(p.op, lblk, p.value, memo)
     return mask
-
-
-class PhysExtendFilterCount(Operator):
-    """Terminal CSR extend + Filter(s) on its edge + count(*).
-
-    When a plan ends with "extend the last edge, filter on its
-    properties, count", LBP can evaluate the whole tail block-at-a-time:
-    read the property values of the adjacency lists of the input block
-    in one vectorized operation per piece of at most ``block_size``
-    positions (a single sequential slice under forward property pages),
-    apply the predicates as one masked comparison, and add
-    ``mask.sum()`` to the count. This is the tight-loop
-    behaviour of a block-based processor (§6) and the measurement
-    instrument for Tables 3 and 5 FILTER rows.
-
-    When every predicate compares to a literal, the mask of an edge does
-    not depend on the tuple that reaches it, so only the *size* of each
-    filtered list matters (count(*) on the factorized form, §6.2). Once
-    the positions this operator has expanded in the query exceed the
-    CSR's edge count, it evaluates the mask once over the whole CSR, in
-    pieces of ``block_size`` positions, and keeps its prefix sum ``cum``
-    (8 bytes per edge); from then on the filtered size of list
-    ``[s, e)`` is ``cum[e] - cum[s]``, with no property read, comparison
-    or range concatenation. The threshold bounds the extra work of the
-    one whole-CSR pass by what the operator has already read, so a
-    selective tail that touches few lists, or a query that reads each
-    list at most once, never pays for it.
-    """
-
-    def __init__(
-        self,
-        src_var: str,
-        estore: EdgeStore,
-        direction: str,
-        edge_var: str,
-        preds: list[Predicate],
-        *,
-        block_size: int = BLOCK_SIZE,
-    ) -> None:
-        super().__init__()
-        self.src_var, self.edge_var = src_var, edge_var
-        self.estore, self.direction, self.preds = estore, direction, preds
-        self.block_size = block_size
-        self.csr = estore.csr(direction)
-        self.count = 0
-        self.memos = [{} for _ in preds]  # dictionary masks, this query
-        self.literal_only = all(p.rhs_var is None for p in preds)
-        self.expanded = 0  # adjacency positions expanded, this query
-        self.cum: np.ndarray | None = None  # mask prefix sum, this query
-
-    def consume(self, group: ListGroup) -> None:
-        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
-        if self.cum is None and self.literal_only:
-            self.expanded += int((ends - starts).sum())
-            if self.expanded > self.csr.n_edges > 0:
-                self.cum = self._prefix_sum()
-        if self.cum is not None:
-            self.count += _weighted(self.cum[ends] - self.cum[starts], group.mult)
-            return
-        for piece in cut_ranges(starts, ends, self.block_size):
-            self._count(group, *piece)
-
-    def _prefix_sum(self) -> np.ndarray:
-        """``cum[i]``: edges before CSR position ``i`` that pass every
-        (literal) predicate. The mask is evaluated over the whole CSR in
-        pieces of ``block_size`` positions (forward page slices under
-        forward property pages), so only ``cum``, 8 bytes per edge,
-        outlives a piece."""
-        cum = np.empty(self.csr.n_edges + 1, dtype=np.int64)
-        cum[0] = 0
-        for srcs, lens, idx, contig in _csr_pieces(self.csr, self.block_size):
-            mask = _literal_mask(self, {}, srcs, lens, idx, contig)
-            lo, hi = contig
-            np.cumsum(mask, out=cum[lo + 1:hi + 1])
-            cum[lo + 1:hi + 1] += cum[lo]
-        return cum
-
-    def _count(self, group, rows, idx, contig, lens) -> None:
-        srcs = group.blocks[self.src_var].data[rows]
-        blocks: dict[str, Block] = {}
-        mask = _literal_mask(self, blocks, srcs, lens, idx, contig)
-        for p in self.preds:
-            if p.rhs_var is None:
-                continue
-            lblk = _read_once(self, blocks, p.prop, srcs, lens, idx, contig)
-            rblk = group.blocks[f"{p.rhs_var}.{p.rhs_prop}"]
-            mask &= eval_block_vs_block(p.op, lblk, _expand(rblk, rows, lens))
-        if group.mult is None:
-            self.count += int(mask.sum())
-        else:
-            self.count += int(np.repeat(group.mult[rows], lens)[mask].sum())
-
-
-def _weighted(counts: np.ndarray, mult: np.ndarray | None) -> int:
-    """The sum of per-row ``counts``, each times its row's multiplicity."""
-    return int(counts.sum() if mult is None else (counts * mult).sum())
 
 
 def _expand(block: Block, rows, lens: np.ndarray) -> Block:
@@ -405,31 +305,43 @@ def _exact(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _running_sum(cum: np.ndarray, w: np.ndarray, lo: int, hi: int):
+    """``cum`` with ``cum[lo + 1:hi + 1]`` the running sum of ``w`` on from
+    ``cum[lo]``, written in place; as Python ints once that sum might
+    leave int64."""
+    if cum.dtype != object and (
+        w.dtype == object
+        or float(cum[lo]) + float(w.sum(dtype=np.float64)) >= _INT_SAFE
+    ):
+        cum = cum.astype(object)
+    np.cumsum(w, out=cum[lo + 1:hi + 1])
+    cum[lo + 1:hi + 1] += cum[lo]
+    return cum
+
+
 class _SuffixSums:
-    """A chain hop's per-edge suffix weights ``w``, summed over lists.
+    """A hop's per-edge suffix weights ``w``, summed over lists.
 
     ``cum`` is the prefix sum of ``w`` over the CSR. With a band ``y op
     x`` (``y`` the edge's value, ``x`` the previous hop's), a band join
-    (DeWitt, Naughton & Schneider, VLDB 1991): the weighted edges with a
-    non-NULL ``y`` are sorted once by ``list start · R + rank(y)``, and
-    ``scum`` sums their weights in that order, so a list's passing edges
-    lie on one side of one ``searchsorted`` probe. ``rank(y)`` is ``y -
-    vmin`` while such keys fit int64, else ``y``'s index in the distinct
-    values ``u``; a float operand makes both compare as float64, as numpy
-    compares them. The offset keys need no sort but the key sort, where
-    distinct-value ranks add a ``np.unique`` of every weighted edge:
-    ranks alone made the k-hop chain counts 1.9–3.0× slower. 0/1 weights sort only the passing keys and need no
-    argsort: ``scum[i]`` is ``i``.
+    (DeWitt, Naughton & Schneider, VLDB 1991): the weighted edges (a
+    NULL ``y`` weighs 0) are sorted once by ``list start · R +
+    rank(y)``, and ``scum`` sums their weights in that order, so a list's
+    passing edges lie on one side of one ``searchsorted`` probe.
+    ``rank(y)`` is ``y - vmin`` while such keys fit int64, else ``y``'s
+    index in the distinct values ``u``; a float operand makes both compare
+    as float64, as numpy compares them. The offset keys need no sort but
+    the key sort, where distinct-value ranks add a ``np.unique`` of every
+    weighted edge: ranks alone made the k-hop chain counts 1.9–3.0×
+    slower. 0/1 weights sort only the passing keys and need no argsort:
+    ``scum[i]`` is ``i``.
     """
 
-    def __init__(self, csr, w, op=None, y=None, valid=None, as_float=False):
-        self.csr, self.op, self.as_float = csr, op, as_float
-        if op is not None:
-            w = w & valid if w.dtype == bool else w * valid
-        w = _exact(w)
-        self.cum = np.concatenate(([0], np.cumsum(w)))
+    def __init__(self, csr, cum, op=None, w=None, y=None, as_float=False):
+        self.csr, self.cum, self.op, self.as_float = csr, cum, op, as_float
         if op is None:
             return
+        w = _exact(w)
         keep = w != 0
         y = y[keep].astype(np.float64) if as_float else y[keep]
         key = np.repeat(csr.offsets[:-1], np.diff(csr.offsets))[keep]
@@ -483,77 +395,82 @@ class _SuffixSums:
         return np.where(ok, out, 0)
 
 
-class PhysChainCount(Operator):
-    """count(*) of a chain of CSR extends whose consecutive edges are
-    compared by a numeric inequality (``e_k.ts > e_{k-1}.ts``), on the
-    factorized form (§6.2).
+class PhysExtendFilterCount(Operator):
+    """count(*) over the last ``k ≥ 1`` CSR extends of a plan, ``hops``,
+    on the factorized form (§6.2). It sits before them; they feed
+    ``sink``, the plan's :class:`CountSink`, and its ``count`` is the
+    sink's plus the paths it counted itself. It takes one of two plan
+    shapes (:func:`repro.proc.lbp._fuse_count`):
 
-    Its input is the first extend's output. Until the positions the
-    second hop would expand from it reach the chain's edges (``Σ_k E_k``
-    over all hops), it hands each group unchanged to the chain's own
-    extends and count tail, so a selective chain never pays for a
-    whole-CSR pass. Then it builds per-edge suffix weights once per
-    query, from the last hop back, as variable elimination counts an
+    - a last extend whose predicates all compare its edge to literals:
+      an edge's mask does not depend on the tuple that reaches it, so
+      only each list's filtered size matters. ``k`` is 1 and the budget
+      ``n_edges`` is that hop's edges;
+    - a chain of extends whose consecutive edges are compared by a
+      numeric inequality (``e_k.ts > e_{k-1}.ts``): ``hops`` are the
+      chain's extends after the first, and ``n_edges`` counts the edges
+      of every hop, the first's included. ``bands[k]`` is hop ``k``'s
+      inequality against the hop before it, with the hop's edge on the
+      left, or None; ``floats[k]`` whether it compares as float64.
+
+    Until the positions ``hops[0]`` would expand from its input exceed
+    ``n_edges``, it hands each group on unchanged, so a selective tail
+    never pays for a whole-CSR pass and a query that reads each list at
+    most once never builds. Then it builds per-edge suffix weights once
+    per query, from the last hop back, as variable elimination counts an
     acyclic join (Abo Khamis, Ngo & Rudra, "FAQ", PODS 2016): ``W_k`` is
     hop ``k``'s literal mask times the sum of ``W_{k+1}`` over the next
     list's edges that pass the band against the edge (the last hop's is
-    its mask). Each later row costs one ``ranges_of`` and one
-    ``searchsorted``. ``hops`` are the chain's extends after the first,
-    the pipeline itself: :class:`PhysBatchExtend` operators, then the
-    :class:`PhysExtendFilterCount` tail. ``bands[k]`` is hop ``k``'s
-    inequality against the hop before it, with the hop's edge on the
-    left, or None.
+    its mask). Each later row costs one ``ranges_of``, plus one
+    ``searchsorted`` when ``hops[0]`` has a band, times the row's
+    multiplicity.
 
     The build reads properties in ``block_size`` pieces through
-    :func:`_eprop_block_multi`, as the tail's prefix sum does, so forward
-    pages stay slices and backward reads gathers. Measured with
-    ``tracemalloc`` on ``flickr_like(sf=1)``'s k-hop chains (E = 322,000),
-    one hop's build peaks at 46–55 bytes per edge, and a built hop keeps
-    11–23 while the one before it is built: 77–114 for three hops.
-    Weights turn to Python ints before an int64 sum could overflow, and
-    a count beyond int64 raises ``OverflowError``.
+    :func:`_eprop_block_multi`, so forward pages stay slices and backward
+    reads gathers. A band-free hop's prefix sum is written in place, one
+    piece at a time, so only it, 8 bytes per edge, outlives a piece.
+    Measured with ``tracemalloc`` on ``flickr_like(sf=1)``'s k-hop chains
+    (E = 322,000), one banded hop's build peaks at 43–52 bytes per edge,
+    and a built hop keeps 11–23 while the one before it is built: 68–104
+    for three hops. Weights turn to Python ints before an int64 sum could
+    overflow, and a count beyond int64 raises ``OverflowError``.
     """
 
     def __init__(
-        self, first: "PhysBatchExtend", hops: list[Operator],
-        bands: list[Predicate | None],
+        self, hops: list["PhysBatchExtend"], bands: list[Predicate | None],
+        floats: list[bool], n_edges: int, sink: "CountSink",
     ) -> None:
         super().__init__()
-        # ``first`` hands its groups here: keeping it would make a cycle
-        # that holds each query's weights until the cyclic collector runs.
-        self.src_var, self.hops, self.bands = first.out_var, hops, bands
-        labels = [first.estore.label] + [h.estore.label for h in hops]
-        self.floats = [
-            b is not None and "float64" in (
-                labels[k + 1].prop(b.prop).dtype,
-                labels[k].prop(b.rhs_prop).dtype,
-            )
-            for k, b in enumerate(self.bands)
-        ]
-        b = self.bands[0]
-        self.probe = None if b is None else f"{first.edge_var}.{b.rhs_prop}"
-        self.n_edges = first.csr.n_edges + sum(h.csr.n_edges for h in hops)
-        self.expanded = 0  # positions the second hop would expand
-        self.weights: _SuffixSums | None = None  # the second hop's
+        self.hops, self.bands, self.floats = hops, bands, floats
+        self.n_edges, self.sink = n_edges, sink
+        self.src_var, self.csr = hops[0].src_var, hops[0].csr
+        b = bands[0]
+        self.probe = None if b is None else f"{b.rhs_var}.{b.rhs_prop}"
+        self.expanded = 0  # positions ``hops[0]`` would expand, this query
+        self.weights: _SuffixSums | None = None  # ``hops[0]``'s, this query
         self.counted = 0  # paths counted from the weights
 
     @property
     def count(self) -> int:
-        return self.counted + self.hops[-1].count
+        return self.counted + self.sink.count
 
     def consume(self, group: ListGroup) -> None:
-        starts, ends = self.hops[0].csr.ranges_of(
-            group.blocks[self.src_var].data
-        )
+        starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
         if self.weights is None:
             self.expanded += int((ends - starts).sum())
-            if not self.expanded >= self.n_edges > 0:
-                self.hops[0].consume(group)
+            if not self.expanded > self.n_edges:
+                self.next.consume(group)
                 return
             self.weights = self._build()
         x = None if self.probe is None else group.blocks[self.probe]
-        self.counted += int(_exact(self.weights.sums(starts, ends, x)).sum())
-        if self.counted > np.iinfo(np.int64).max:
+        paths, mult = self.weights.sums(starts, ends, x), group.mult
+        # No list weighs more than the hop's total, so a group is summed
+        # in Python ints only when its tuples times that might leave int64.
+        tuples = len(paths) if mult is None else mult.sum(dtype=np.float64)
+        if float(self.weights.cum[-1]) * float(tuples) >= _INT_SAFE:
+            paths = paths.astype(object)
+        self.counted += int((paths if mult is None else paths * mult).sum())
+        if self.counted >= 2 ** 63:  # beyond int64
             raise OverflowError(f"{self.counted} paths exceed int64")
 
     def _build(self) -> _SuffixSums:
@@ -566,29 +483,31 @@ class PhysChainCount(Operator):
         """Hop ``k``'s suffix weights, given the next hop's sums."""
         h, band = self.hops[k], self.bands[k]
         probe = None if nxt is None or nxt.op is None else self.bands[k + 1]
+        cum = np.zeros(h.csr.n_edges + 1, dtype=np.int64)
         # Empty first parts keep the joins defined on a CSR with no edges.
-        ws, ys, valid = ([np.zeros(0, t)] for t in (bool, np.int64, bool))
+        ws, ys = [np.zeros(0, bool)], [np.zeros(0, np.int64)]
         for srcs, lens, idx, contig in _csr_pieces(h.csr, h.block_size):
             blocks: dict[str, Block] = {}
             w = _literal_mask(h, blocks, srcs, lens, idx, contig)
+            y = None if band is None else _read_once(
+                h, blocks, band.prop, srcs, lens, idx, contig
+            )
+            if y is not None and y.nulls is not None:
+                w &= ~y.nulls  # a NULL value passes no band
             if nxt is not None:
                 s, e = nxt.csr.ranges_of(h.csr.nbr[contig[0]:contig[1]])
                 x = None if probe is None else _read_once(
                     h, blocks, probe.rhs_prop, srcs, lens, idx, contig
                 )
                 w = w * nxt.sums(s, e, x)
-            ws.append(w)
-            if band is not None:
-                y = _read_once(h, blocks, band.prop, srcs, lens, idx, contig)
+            cum = _running_sum(cum, w, *contig)
+            if y is not None:
+                ws.append(w)
                 ys.append(y.data)
-                valid.append(
-                    np.ones(len(y), bool) if y.nulls is None else ~y.nulls
-                )
-        w = np.concatenate(ws)
         if band is None:
-            return _SuffixSums(h.csr, w)
+            return _SuffixSums(h.csr, cum)
         return _SuffixSums(
-            h.csr, w, band.op, np.concatenate(ys), np.concatenate(valid),
+            h.csr, cum, band.op, np.concatenate(ws), np.concatenate(ys),
             self.floats[k],
         )
 
@@ -707,19 +626,12 @@ class PhysBatchExtend(Operator):
     in a Column-Oriented DBMS", ICDE 2007): dictionary and numeric
     literals run first, and each predicate reads and tests only the
     positions still passing. A literal on an out-vertex property that
-    has evaluated as many rows as its column has vertices evaluates the
-    column once into a per-query mask (NULL false); later pieces gather
-    ``mask[nbr]``. The piece handed on holds only the keep-set, each
-    block gathered once at the survivors (input blocks and the rows'
-    multiplicities through ``np.repeat(rows, lens)[sel]``).
-
-    An extend with no predicate or property read whose out-vertex and
-    edge no later operator reads is **multiplicity-only** (``mult_only``,
-    set by :meth:`plan`): its lists stay unflat (Olteanu & Závodný, "Size
-    Bounds for Factorised Representations of Query Results", TODS 2015).
-    It looks up the input's list ranges once, drops the rows with empty
-    lists and hands on each other row once, its multiplicity times its
-    list's length, without cutting or expanding the lists.
+    has evaluated more rows, the current piece's included, than its
+    column has vertices evaluates the column once into a per-query mask
+    (NULL false); that piece and later ones gather ``mask[nbr]``. The piece handed on holds
+    only the keep-set, each block gathered once at the survivors (input
+    blocks and the rows' multiplicities through ``np.repeat(rows,
+    lens)[sel]``).
     """
 
     def __init__(
@@ -741,7 +653,6 @@ class PhysBatchExtend(Operator):
         self.block_size = block_size
         self.csr = estore.csr(direction)
         self.steps: list[_Step] | None = None  # set by :meth:`plan`
-        self.mult_only = False  # set by :meth:`plan`
 
     def plan(self, live: set[str] | None, inputs=()) -> set[str]:
         """Fix the predicate order, each key's source and the blocks to
@@ -754,7 +665,6 @@ class PhysBatchExtend(Operator):
             srcs[f"{self.out_var}.{prop}"] = ("v", vcol)
         live = srcs.keys() | inputs if live is None else live
         self.outputs = [(k, srcs.get(k) or ("in", k)) for k in live]
-        self.mult_only = not self.preds and not live & srcs.keys()
         steps = [_Step(p, srcs) for p in self.preds]
         self.memos = [st.memo for st in steps]  # in ``preds`` order
         # Stable: cheap literals keep their query order.
@@ -781,23 +691,8 @@ class PhysBatchExtend(Operator):
         if self.steps is None:  # not compiled: hand on every block
             self.plan(None, group.blocks)
         starts, ends = self.csr.ranges_of(group.blocks[self.src_var].data)
-        if self.mult_only:
-            self._multiply(group, ends - starts)
-            return
         for piece in cut_ranges(starts, ends, self.block_size):
             self._extend(group, *piece)
-
-    def _multiply(self, group, lens: np.ndarray) -> None:
-        """Hand on the rows with a non-empty list, each once, with its
-        multiplicity times its list's length."""
-        keep = lens > 0
-        if not keep.any():
-            return
-        mult = lens if group.mult is None else lens * group.mult
-        out = ListGroup(
-            {k: group.blocks[k] for k, _ in self.outputs}, group.size, mult
-        )
-        self.next.consume(out if keep.all() else out.take(keep))
 
     def _extend(self, group, rows, idx, contig, lens) -> None:
         nbr = self.csr.nbr[slice(*contig) if contig else idx]
@@ -859,7 +754,9 @@ class PhysBatchExtend(Operator):
             nbr = piece[5] if sel is None else piece[5][sel]
             if st.mask is None:
                 st.seen += len(nbr)
-                st.mask = self._column_mask(st) if st.seen >= st.vcol.n else None
+                # Exceeded, not reached: a query evaluating no more rows
+                # than the column has vertices never builds the mask.
+                st.mask = self._column_mask(st) if st.seen > st.vcol.n else None
             if st.mask is not None:
                 return st.mask[nbr]
         lblk = self._get(st.lkey, st.lsrc, st.lkeep, piece, sel, at, cache)
@@ -922,34 +819,45 @@ class CountSink(Operator):
 
 
 class PhysCountListExtend(Operator):
-    """Terminal CSR extend + count(*): the last hop is counted from
-    adjacency-list lengths without iterating it (aggregation on the
-    compressed intermediate representation, §6.2 / Table 5 COUNT rows)."""
+    """A CSR extend with no predicate or property read whose out-vertex
+    and edge nothing later reads: its lists stay unflat (Olteanu &
+    Závodný, "Size Bounds for Factorised Representations of Query
+    Results", TODS 2015; aggregation on the compressed intermediate,
+    §6.2 / Table 5 COUNT rows). It looks up the input's list lengths
+    once, drops the rows with empty lists and hands on each other row
+    once, its multiplicity times its list's length, without cutting or
+    expanding the lists. Compiled plans hand on only ``live``."""
 
     def __init__(self, src_var: str, estore: EdgeStore, direction: str) -> None:
         super().__init__()
         self.src_var = src_var
         self.csr = estore.csr(direction)
-        self.count = 0
+        self.live: set[str] | None = None  # keys handed on; None: all
 
     def consume(self, group: ListGroup) -> None:
-        srcs = group.blocks[self.src_var].data.astype(np.int64)
-        self.count += _weighted(self.csr.degrees_of(srcs), group.mult)
+        lens = self.csr.degrees_of(group.blocks[self.src_var].data)
+        keep = lens > 0
+        if not keep.any():
+            return
+        mult = lens if group.mult is None else lens * group.mult
+        out = _live(ListGroup(group.blocks, group.size, mult), self.live)
+        self.next.consume(out if keep.all() else out.take(keep))
 
 
-class PhysCountColumnExtend(Operator):
-    """Terminal ColumnExtend + count(*)."""
+class PhysCountColumnExtend(PhysColumnExtend):
+    """A ColumnExtend whose out-vertex and edge nothing later reads: it
+    drops the rows with no edge and hands the rest on (only ``live``)."""
 
     def __init__(self, src_var: str, estore: EdgeStore, direction: str) -> None:
-        super().__init__()
-        self.src_var = src_var
-        self.vcol = estore.nbr_vcol(direction)
-        self.count = 0
+        super().__init__(src_var, None, None, estore, direction, [])
 
     def consume(self, group: ListGroup) -> None:
         srcs = group.blocks[self.src_var].data.astype(np.int64)
         _, nulls = self.vcol.get_many(srcs)
-        self.count += _weighted(~nulls, group.mult)
+        if nulls.all():
+            return
+        out = _live(group, self.live)
+        self.next.consume(out.take(~nulls) if nulls.any() else out)
 
 
 class CollectSink(Operator):

@@ -5,6 +5,7 @@ import dataclasses
 import tracemalloc
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -15,7 +16,12 @@ from repro.bench.queries_ldbc import ALL_LDBC
 from repro.graphs.datasets import wiki_like
 from repro.oracle import _canon
 from repro.proc.lbp import compile_lbp, run_lbp
-from repro.proc.operators import CollectSink, PhysExtendFilterCount
+from repro.proc.operators import (
+    CollectSink,
+    CountSink,
+    PhysBatchExtend,
+    PhysExtendFilterCount,
+)
 from repro.proc.plan import to_sql
 from repro.storage.graph_store import GraphStore, StorageConfig
 
@@ -117,25 +123,27 @@ def test_khop_groups_within_budget(tiny, tiny_store, spec):
 
 
 def test_fused_tail_with_rhs_in_input_group_is_cut(tiny, tiny_store):
-    # e3.timestamp > e2.timestamp: e2 lives in the group the fused
-    # count tail extends, so each piece must repeat only its own rows.
+    # e3.timestamp > e2.timestamp: e2 lives in the group the chain's last
+    # extend expands, so each piece must repeat only its own rows.
     spec = next(s for s in KHOP_SPECS if s.name == "chain-3hop-fwd")
     scan, sink = compile_lbp(tiny_store, spec, block_size=3)
-    # The chain count hands its input to the tail until it has expanded
-    # the chain's edges.
+    # The chain counter hands its input to its extends, which feed
+    # CountSink, until they would have expanded the chain's edges.
+    assert isinstance(sink, PhysExtendFilterCount)
     tail = sink.hops[-1]
-    assert isinstance(tail, PhysExtendFilterCount)
+    assert type(tail) is PhysBatchExtend and isinstance(tail.next, CountSink)
     assert any(p.rhs_var == "e2" for p in tail.preds)
     pieces = []
-    real_count = tail._count
+    real_extend = tail._extend
 
-    def count(group, rows, *rest):
+    def extend(group, rows, *rest):
         pieces.append((group.size, rows.stop - rows.start))
-        real_count(group, rows, *rest)
+        real_extend(group, rows, *rest)
 
-    tail._count = count
+    tail._extend = extend
     scan.run()
     assert any(n_rows < size for size, n_rows in pieces)
+    assert tail.next.count > 0
     _same(sink.count, _duckdb(tiny, spec))
 
 
@@ -168,8 +176,9 @@ def test_path_memory_bounded_by_block_size():
 
 
 def test_prefix_sum_memory_bounded_by_edges(wiki):
-    # A literal FILTER tail keeps one int64 prefix sum per edge of its CSR
-    # and builds it in block_size pieces, so the peak stays near 8 bytes
+    # The counter of a literal FILTER last hop keeps one int64 prefix sum
+    # per edge of its CSR and writes it in place, one block_size piece at
+    # a time, so the peak stays near 8 bytes
     # per edge plus the budget's share (a whole-CSR build held ~26 bytes
     # per edge, its property block, nulls and mask at once).
     elabel, vlabel, prop = _dataset_params(wiki)
@@ -185,6 +194,7 @@ def test_prefix_sum_memory_bounded_by_edges(wiki):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.cum is not None
+    assert isinstance(sink, PhysExtendFilterCount) and sink.bands == [None]
+    assert sink.weights is not None and sink.weights.cum.dtype == np.int64
     assert sink.count == run_lbp(store, spec)
     assert peak < 8 * (n_edges + 1) + 512 * block_size

@@ -1,10 +1,11 @@
 """Inequality-chained paths counted from per-edge suffix weights.
 
 A count(*) over a chain of CSR extends whose consecutive edges are
-compared by ``<``, ``<=``, ``>`` or ``>=`` is fused into
-:class:`PhysChainCount`. Once the second hop would have expanded as many
-positions as the chain has edges, it builds per-edge suffix weights once
-and counts each later row with one binary search. These tests check its
+compared by ``<``, ``<=``, ``>`` or ``>=`` gets a counter
+(:class:`PhysExtendFilterCount`) after its first extend. Once the second
+hop would have expanded more positions than the chain has edges, it
+builds per-edge suffix weights once and counts each later row with one
+binary search; until then the chain's extends feed :class:`CountSink`. These tests check its
 answers against DuckDB under every storage configuration, at budgets
 that put the build mid-query, on int and float properties with ties and
 NULLs, and check the shapes it must leave to the pipeline.
@@ -25,7 +26,7 @@ from repro.graphs.schema import GraphSchema
 from repro.graphs.schema import PropSpec as P
 from repro.proc.distributed import scan_ranges
 from repro.proc.lbp import compile_lbp, run_lbp
-from repro.proc.operators import BLOCK_SIZE, PhysChainCount
+from repro.proc.operators import BLOCK_SIZE, PhysExtendFilterCount
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
@@ -150,20 +151,27 @@ SHAPES = {
 }
 
 
+def _is_chain(sink) -> bool:
+    """Whether ``sink`` is a counter over a band chain."""
+    return isinstance(sink, PhysExtendFilterCount) and any(
+        b is not None for b in sink.bands
+    )
+
+
 def _run(store, spec, budget, *, build_first=False):
-    """``(count, chain, builds)``: the answer, the plan's chain count (or
-    None) and how often it built its suffix weights. ``build_first``
-    lowers the chain's threshold so that it builds on its first group."""
+    """``(count, chain, builds)``: the answer, the plan's chain counter
+    (or None) and how often it built its suffix weights. ``build_first``
+    lowers the chain's threshold so that it builds on its first group
+    with a position to expand."""
     scan, sink = compile_lbp(store, spec, block_size=budget)
     builds = []
-    if isinstance(sink, PhysChainCount):
+    if _is_chain(sink):
         build = sink._build
         sink._build = lambda: builds.append(1) or build()
         if build_first:
-            sink.n_edges = 1
+            sink.n_edges = 0
     scan.run()
-    chain = sink if isinstance(sink, PhysChainCount) else None
-    return sink.count, chain, len(builds)
+    return sink.count, sink if _is_chain(sink) else None, len(builds)
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -190,7 +198,7 @@ def test_fusion_takes_csr_chains(stores):
     fused = {
         (config, shape)
         for config in stores for shape, spec in SHAPES.items()
-        if isinstance(compile_lbp(stores[config], spec)[1], PhysChainCount)
+        if _is_chain(compile_lbp(stores[config], spec)[1])
     }
     for config in stores:
         for shape in SHAPES:
@@ -289,7 +297,7 @@ def test_unselective_chain_builds_once(tiny, tiny_store, direction):
     for budget in BUDGETS:
         got, chain, builds = _run(tiny_store, spec, budget)
         assert got == want
-        assert builds == 1 and chain.expanded >= chain.n_edges
+        assert builds == 1 and chain.expanded > chain.n_edges
 
 
 def _ts_chain(hops: int) -> QuerySpec:
@@ -308,7 +316,7 @@ class TestExactChainCount:
         # 2^62, where the row counts are summed as Python ints.
         store = _complete_digraph_store(n, StorageConfig.gf_cl(), ts=True)
         scan, sink = compile_lbp(store, _ts_chain(7))
-        assert isinstance(sink, PhysChainCount)
+        assert _is_chain(sink)
         scan.run()
         assert sink.count == n * (n - 1) ** 7
 
@@ -322,7 +330,7 @@ def test_plan_frees_its_weights_without_the_cycle_collector(stores):
     # A query's suffix weights die with its compiled plan: no reference
     # cycle keeps them until the cyclic collector happens to run.
     scan, sink = compile_lbp(stores["+NULL"], SHAPES["3-fwd-float"])
-    sink.n_edges = 1
+    sink.n_edges = 0
     scan.run()
     cum = weakref.ref(sink.weights.cum)
     gc.disable()
@@ -339,4 +347,4 @@ def test_ldbc_and_job_compile_no_chain(ldbc_store, imdb_store):
     for store, specs in ((ldbc_store, ALL_LDBC), (imdb_store, JOB_QUERIES)):
         for spec in specs:
             _, sink = compile_lbp(store, spec)
-            assert not isinstance(sink, PhysChainCount), spec.name
+            assert not _is_chain(sink), spec.name

@@ -59,7 +59,7 @@ def test_dictionary_mask_once_per_predicate_per_query(imdb_store, monkeypatch):
     # out-vertex columns. At block_size=64 each predicate evaluates its
     # dictionary once per query: the 800-row movie_info column is never
     # reached, so mi.info gathers that mask through the codes of several
-    # blocks; the 12-row keyword column is reached on the first block,
+    # blocks; the 12-row keyword column is passed on the first block,
     # so k.keyword is evaluated once over the whole column, and no block
     # is evaluated after that.
     spec = _job("3a")

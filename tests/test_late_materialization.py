@@ -177,8 +177,9 @@ def column_masks(monkeypatch):
 def _assert_once_per_step(built):
     steps = Counter(id(st) for _, st, _ in built)
     assert all(n == 1 for n in steps.values())
-    # Built only once the step has evaluated a column's worth of rows.
-    assert all(seen >= st.vcol.n for _, st, seen in built)
+    # Built only once the step has evaluated more than a column's worth
+    # of rows.
+    assert all(seen > st.vcol.n for _, st, seen in built)
 
 
 def test_column_mask_at_most_once_per_predicate(imdb_store, column_masks):
@@ -208,6 +209,32 @@ def test_point_queries_never_build_a_column_mask(ldbc_store, column_masks):
         column_masks.clear()
         run_lbp(ldbc_store, spec)
         _assert_once_per_step(column_masks)
+
+
+@pytest.mark.parametrize("name", ["18a", "25a", "31a"])
+def test_column_mask_not_built_on_reaching_the_column(imdb_store, imdb_con, name,
+                                              column_masks):
+    # Each title's movie_info rows are extended once, so mi.info_type is
+    # evaluated on exactly one column's worth of rows, which reaches but
+    # never exceeds the column: the mask is never built.
+    spec = _job(name)
+    assert run_lbp(imdb_store, spec) == _count(imdb_con, spec)
+    assert [st.lkey for _, st, _ in column_masks if st.lkey == "mi.info_type"] == []
+
+
+def test_column_mask_built_when_rows_pass_the_column(imdb_store, imdb_con,
+                                                     column_masks):
+    # Every pair of movie_info rows of one title evaluates mi2.info_type,
+    # more rows than the column holds: the mask is built, once.
+    spec = QuerySpec(
+        "mi-pairs",
+        {"t": "title", "mi": "movie_info", "mi2": "movie_info"},
+        [E("t", "mi", "has_movie_info"), E("t", "mi2", "has_movie_info")],
+        [Pr("mi2", "info_type", "=", "budget")], "count", ["mi", "t", "mi2"],
+    )
+    assert run_lbp(imdb_store, spec, block_size=64) == _count(imdb_con, spec)
+    assert len(column_masks) == 1
+    _assert_once_per_step(column_masks)
 
 
 # -- (c) every JOB query at every block size ---------------------------------

@@ -14,7 +14,6 @@ from repro.proc.operators import (
     CollectSink,
     CountSink,
     PhysBatchExtend,
-    PhysChainCount,
     PhysCountColumnExtend,
     PhysCountListExtend,
     PhysExtendFilterCount,
@@ -181,7 +180,8 @@ class TestBudgetedExtend:
 
     def test_filter_count_slices_rhs_to_piece_rows(self, ldbc_store):
         # e2.date > a.x where a.x lives in the input group: each piece
-        # repeats only its own rows of a.x.
+        # repeats only its own rows of a.x, and the filter-first extend
+        # feeding CountSink counts the passing positions.
         es = ldbc_store.edge("knows")
         csr = es.csr("fwd")
         dates, nulls, _ = es.eprops.read_fwd_range("date", 0, csr.n_edges)
@@ -190,9 +190,12 @@ class TestBudgetedExtend:
         pred = Pr("e", "date", ">", None, rhs_var="a", rhs_prop="x")
         counts = []
         for budget in (1, 3, 1 << 15):
-            op = PhysExtendFilterCount("a", es, "fwd", "e", [pred], block_size=budget)
+            op = PhysBatchExtend("a", "b", "e", es, "fwd", ["date"], block_size=budget)
+            op.preds.append(pred)
+            op.next = sink = CountSink()
+            op.plan(set())
             op.consume(ListGroup({"a": Block(srcs), "a.x": Block(x)}, 40))
-            counts.append(op.count)
+            counts.append(sink.count)
         assert nulls is None or not nulls.any()
         starts, ends = csr.ranges_of(srcs)
         want = sum(
@@ -208,21 +211,28 @@ class TestFusion:
             "q", {"a": "Person", "b": "Person"},
             [E("a", "b", "knows")], [], "count",
         )
-        assert isinstance(_ops(ldbc_store, spec)[-1], PhysCountListExtend)
+        ops = _ops(ldbc_store, spec)
+        assert isinstance(ops[-2], PhysCountListExtend)
+        assert isinstance(ops[-1], CountSink)
 
     def test_count_single_card_fuses_column_extend(self, ldbc_store):
         spec = QuerySpec(
             "q", {"c": "Comment", "p": "Person"},
             [E("c", "p", "hasCreator")], [], "count",
         )
-        assert isinstance(_ops(ldbc_store, spec)[-1], PhysCountColumnExtend)
+        ops = _ops(ldbc_store, spec)
+        assert isinstance(ops[-2], PhysCountColumnExtend)
+        assert isinstance(ops[-1], CountSink)
 
     def test_edge_filter_tail_fuses(self, ldbc_store):
         spec = QuerySpec(
             "q", {"a": "Person", "b": "Person"},
             [E("a", "b", "knows", "e")], [Pr("e", "date", ">", 5)], "count",
         )
-        assert isinstance(_ops(ldbc_store, spec)[-1], PhysExtendFilterCount)
+        counter, last, sink = _ops(ldbc_store, spec)[-3:]
+        assert isinstance(counter, PhysExtendFilterCount)
+        assert counter.hops == [last] and counter.bands == [None]
+        assert isinstance(last, PhysBatchExtend) and isinstance(sink, CountSink)
 
     def test_vertex_filter_tail_batches_not_count_fuses(self, ldbc_store):
         # A vertex-property filter cannot use the factorized-count tail;
@@ -255,13 +265,12 @@ class TestFusion:
              Pr("e2", "date", ">", None, rhs_var="e1", rhs_prop="date")],
             "count", ["c", "b", "a"],
         )
-        # The chain count keeps the fused tail as its last hop, with the
-        # tail's edge mirrored to the left-hand side.
-        chain = _ops(ldbc_store, spec)[-1]
-        assert isinstance(chain, PhysChainCount)
-        tail = chain.hops[-1]
-        assert isinstance(tail, PhysExtendFilterCount)
-        assert Pr("e1", "date", "<", None, "e2", "date") in tail.preds
+        # The counter sits before the chain's last extend, and its band
+        # has that extend's edge mirrored to the left-hand side.
+        counter, last, sink = _ops(ldbc_store, spec)[-3:]
+        assert isinstance(counter, PhysExtendFilterCount)
+        assert counter.hops == [last] and isinstance(sink, CountSink)
+        assert counter.bands == [Pr("e1", "date", "<", None, "e2", "date")]
 
 
 def test_compiled_plans_never_construct_list_extend(

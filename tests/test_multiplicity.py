@@ -3,8 +3,9 @@
 A CSR extend with no predicate or property read, whose out-vertex and
 edge nothing after it reads (a *leaf arm*), hands on each input row with
 a non-empty list once, with its multiplicity times the list's length
-(``PhysBatchExtend.mult_only``). Every later operator hands the
-multiplicity on, the count sinks and tails weight by it, and
+(:class:`PhysCountListExtend`, placed by the compiler's liveness pass; a
+count(*) plan's last such extend is one too). Every later operator hands
+the multiplicity on, ``CountSink`` and the counter weight by it, and
 ``CollectSink`` repeats each row by it. Each plan here is checked
 against DuckDB at ``block_size`` 1, 3 and the default, and each asserts
 that its plan holds the leaf arm in the place it tests.
@@ -77,20 +78,23 @@ CASES = [
            [Pr("f", "birthday", ">", rhs_var="p", rhs_prop="birthday")],
            [("f", "fName")], ["p", "fo", "f"]),
      PhysBatchExtend, 1),
+    # The last extend is a leaf arm too, feeding CountSink.
     (_spec("leaf-count-list", ["p", "f", "c"], [KNOWS, FAN], [], "count",
            ["p", "f", "c"]),
-     PhysCountListExtend, 1),
+     PhysCountListExtend, 2),
     (_spec("leaf-count-column", ["c", "p", "c2"],
            [FAN, E("c", "c2", "replyOf")], [], "count", ["c", "p", "c2"]),
      PhysCountColumnExtend, 1),
-    # The fused filter count, comparing to the input: per-piece route.
+    # A last extend filtered against the input: a filter-first extend
+    # feeding CountSink.
     (_spec("leaf-filter-count-pieces", ["p", "fo", "c"], [MEMBER, FAN],
            [Pr("p", "creationDate", ">", 0),
             Pr("l", "date", ">", None, rhs_var="p", rhs_prop="creationDate")],
            "count", ["p", "fo", "c"]),
-     PhysExtendFilterCount, 1),
-    # The same tail on literals: friends' likes read each list about 20
-    # times, so the prefix sum is built mid-query.
+     PhysBatchExtend, 1),
+    # The same tail on literals gets the counter: friends' likes read
+    # each list about 20 times, so the prefix sum is built mid-query and
+    # weighted by the leaf's multiplicities.
     (_spec("leaf-filter-count-prefix", ["p", "f", "fo", "c"],
            [KNOWS, MEMBER, E("f", "c", "likes", "l")],
            [Pr("l", "date", ">", 1_375_000_000)], "count",
@@ -108,10 +112,10 @@ CASES = [
     (_spec("two-leaves-collect", ["p", "f", "fo"], [KNOWS, MEMBER],
            [Pr("p", "id", ">=", 40)], [("p", "fName"), ("p", "id")],
            ["p", "f", "fo"]),
-     PhysBatchExtend, 2),
+     PhysCountListExtend, 2),
     (_spec("two-leaves-count", ["p", "f", "fo", "c"], [KNOWS, MEMBER, FAN],
            [Pr("p", "gender", "=", "f")], "count", ["p", "f", "fo", "c"]),
-     PhysBatchExtend, 2),
+     PhysCountListExtend, 3),
 ]
 
 
@@ -143,7 +147,7 @@ def _ops(scan):
 
 
 def _leaves(ops):
-    return [op for op in ops if isinstance(op, PhysBatchExtend) and op.mult_only]
+    return [op for op in ops if isinstance(op, PhysCountListExtend)]
 
 
 def _canon(df: pd.DataFrame) -> list[tuple]:
@@ -183,14 +187,23 @@ def test_leaf_before_property_read_and_filter(store):
 
 
 def test_filter_count_routes_both_run(store):
+    # Against the input, the last extend feeds CountSink; on literals,
+    # the counter before it builds, and both parts of the count are
+    # weighted by the leaf's multiplicities.
     by_name = {s.name: s for s, *_ in CASES}
-    for name, built in (("leaf-filter-count-pieces", False),
-                        ("leaf-filter-count-prefix", True)):
-        for budget in BUDGETS:
-            scan, sink = compile_lbp(store, by_name[name], block_size=budget)
-            scan.run()
-            assert isinstance(sink, PhysExtendFilterCount)
-            assert (sink.cum is not None) == built, (name, budget)
+    for budget in BUDGETS:
+        scan, sink = compile_lbp(
+            store, by_name["leaf-filter-count-pieces"], block_size=budget
+        )
+        scan.run()
+        assert isinstance(sink, CountSink) and sink.count > 0
+        scan, sink = compile_lbp(
+            store, by_name["leaf-filter-count-prefix"], block_size=budget
+        )
+        scan.run()
+        assert isinstance(sink, PhysExtendFilterCount), budget
+        assert sink.weights is not None and sink.counted > 0, budget
+        assert isinstance(_leaves(_ops(scan))[0].next, PhysExtendFilterCount)
 
 
 def test_column_filter_count_ends_in_count_sink(store):

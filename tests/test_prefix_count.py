@@ -1,12 +1,14 @@
 """Literal-filtered last hops counted from a per-query prefix sum.
 
-When every predicate of a fused count tail (:class:`PhysExtendFilterCount`)
-compares an edge property to a literal, the operator builds the prefix
-sum of the predicate mask over the whole CSR once it has expanded more
-adjacency positions than the CSR has edges, and counts each later list as
-``cum[end] - cum[start]``. These tests check its answers against DuckDB
-under every storage configuration and edge-property layout, at budgets
-small enough that the build happens mid-query, and check when it builds.
+When every predicate of a count(*) plan's last extend compares its edge
+to a literal, the counter (:class:`PhysExtendFilterCount`) before that
+extend builds the prefix sum of the predicate mask over the whole CSR
+once the extend would have expanded more adjacency positions than the
+CSR has edges, and counts each later list as ``cum[end] - cum[start]``;
+until then the extend feeds :class:`CountSink`. These tests check its
+answers against DuckDB under every storage configuration and
+edge-property layout, at budgets small enough that the build happens
+mid-query, and check when it builds.
 """
 import duckdb
 import numpy as np
@@ -23,7 +25,8 @@ from repro.graphs.schema import PropSpec as P
 from repro.proc.lbp import compile_lbp
 from repro.proc.operators import (
     BLOCK_SIZE,
-    PhysChainCount,
+    CountSink,
+    PhysBatchExtend,
     PhysExtendFilterCount,
 )
 from repro.proc.plan import Predicate as Pr
@@ -129,29 +132,33 @@ def _duckdb_count(data, spec) -> int:
         con.close()
 
 
+def _literal(sink) -> bool:
+    """Whether ``sink`` is a counter over one literal-filtered extend."""
+    return isinstance(sink, PhysExtendFilterCount) and sink.bands == [None]
+
+
 def _run(store, spec, block_size):
     """``(count, tail, builds, calls)``: the compiled plan's answer, its
-    fused count tail (or None), how often the tail built its prefix sum
-    and, per ``consume`` call, whether the prefix existed before it."""
+    literal counter (or None), how often it built its prefix sum and, per
+    ``consume`` call, whether the prefix existed before it."""
     scan, sink = compile_lbp(store, spec, block_size=block_size)
     builds: list[int] = []
     calls: list[bool] = []
     if isinstance(sink, PhysExtendFilterCount):
-        build, consume = sink._prefix_sum, sink.consume
+        build, consume = sink._build, sink.consume
 
         def counted_build():
             builds.append(1)
             return build()
 
         def recorded_consume(group):
-            calls.append(sink.cum is not None)
+            calls.append(sink.weights is not None)
             consume(group)
 
-        sink._prefix_sum = counted_build
+        sink._build = counted_build
         sink.consume = recorded_consume
     scan.run()
-    tail = sink if isinstance(sink, PhysExtendFilterCount) else None
-    return sink.count, tail, len(builds), calls
+    return sink.count, sink if _literal(sink) else None, len(builds), calls
 
 
 @pytest.mark.parametrize("preds", list(PREDS), ids=str)
@@ -167,10 +174,10 @@ def test_literal_tail_matches_duckdb(data, stores, config, label, direction,
         assert got == want, (config, budget)
         assert builds <= 1
         if tail is not None:
-            assert tail.literal_only
-            # Every fused tail here expands its CSR's edges several
+            # Every literal last hop here expands its CSR's edges several
             # times over, so the prefix sum serves it.
             assert builds == 1, (config, budget)
+            assert tail.weights.op is None
 
 
 @pytest.mark.parametrize("budget", [1, 3, 64])
@@ -178,8 +185,9 @@ def test_prefix_built_mid_query(stores, budget):
     spec = _tail_spec("rel", "fwd", PREDS["mixed"])
     _, tail, builds, calls = _run(stores["+NULL"], spec, budget)
     assert tail is not None and builds == 1
-    # Pieces before the build took the per-position path; the build
-    # came during a later piece, and every call after it used the sum.
+    # Pieces before the build went through the extend to CountSink; the
+    # build came during a later piece, and every call after it used the
+    # sum. Both parts add to the count.
     assert not calls[0]
     first = calls.index(True)
     assert all(calls[first:])
@@ -196,27 +204,31 @@ def test_table5_filter_tail_builds_once(tiny, tiny_store, hops):
         # exceeds E: summing the piece masks answers it without a pass
         # over the CSR. Two or more hops read lists again and build once.
         assert tail is not None and builds == (hops > 1)
-        assert (tail.cum is None) == (hops == 1)
+        assert (tail.weights is None) == (hops == 1)
 
 
 @pytest.mark.parametrize("direction", ["fwd", "bwd"])
 @pytest.mark.parametrize("hops", [2, 3])
 def test_chain_tail_never_builds(tiny, tiny_store, hops, direction):
     # e_k.timestamp > e_{k-1}.timestamp compares to the previous edge,
-    # which changes from tuple to tuple: the tail builds no prefix sum.
-    # The chain count around it builds its suffix weights at most once.
+    # which changes from tuple to tuple: the last hop gets no literal
+    # counter of its own. The one chain counter builds its suffix weights
+    # at most once, and the last hop stays a plain extend feeding
+    # CountSink.
     spec = khop_spec("link", "node", "timestamp", hops, direction=direction)
     want = _duckdb_count(tiny, spec)
     for budget in BUDGETS:
         scan, sink = compile_lbp(tiny_store, spec, block_size=budget)
-        assert isinstance(sink, PhysChainCount)
+        assert isinstance(sink, PhysExtendFilterCount)
+        assert sink.bands[0] is not None and len(sink.hops) == hops - 1
         builds, build = [], sink._build
         sink._build = lambda: builds.append(1) or build()
         scan.run()
         assert sink.count == want, budget
         assert len(builds) <= 1
         tail = sink.hops[-1]
-        assert not tail.literal_only and tail.cum is None
+        assert type(tail) is PhysBatchExtend
+        assert isinstance(tail.next, CountSink) and tail.next is sink.sink
 
 
 @pytest.mark.parametrize("name", ["10a", "20a", "21a"])
@@ -227,7 +239,7 @@ def test_selective_job_tails_never_build(imdb, imdb_store, name):
     want = _duckdb_count(imdb, spec)
     for budget in (64, BLOCK_SIZE):
         got, tail, builds, _ = _run(imdb_store, spec, budget)
-        assert tail is not None and tail.literal_only
-        assert builds == 0 and tail.cum is None
-        assert tail.expanded < tail.csr.n_edges
+        assert tail is not None
+        assert builds == 0 and tail.weights is None
+        assert tail.expanded < tail.csr.n_edges == tail.n_edges
         assert got == want
