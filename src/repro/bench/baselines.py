@@ -82,7 +82,7 @@ class Table6Harness:
         return base + (["SPARKSQL"] if self.spark is not None else [])
 
     def run_one(self, system: str, spec: QuerySpec) -> pd.DataFrame:
-        sql = to_sql(spec, self.data.schema)
+        sql = to_sql(spec)
         if system == "GF-CL":
             return run_lbp_df(self.store, spec)
         volcano = {"GF-RV": self.rv, "NEO4J-SIM": self.neo, "GF-CV": self.cv}

@@ -22,7 +22,7 @@ from repro.graphs.data import GraphData
 from repro.graphs.datasets import ldbc_lite, wiki_like
 from repro.proc.lbp import run_lbp
 from repro.storage.graph_store import GraphStore, StorageConfig
-from repro.storage.null_compression import NullableColumn
+from repro.storage.null_compression import JacobsonIndex, NullableColumn
 
 CM_GRID = [(8, 8), (8, 16), (8, 24), (8, 32), (16, 8), (16, 16), (16, 24), (16, 32)]
 
@@ -103,16 +103,14 @@ def cm_overhead(*, sf: float, rho: int = 50, seed: int = 42) -> pd.DataFrame:
     """Overhead (bytes) of bit strings + prefix sums per (c, m)."""
     base = ldbc_lite(sf=sf, seed=seed)
     n_comment = base.n_vertices("Comment")
-    g = np.random.default_rng(seed)
-    values = g.integers(1_200_000_000, 1_550_000_000, n_comment)
-    mask = g.random(n_comment) < rho / 100.0
+    mask = np.random.default_rng(seed).random(n_comment) < rho / 100.0
     rows = []
     for c, m in CM_GRID:
-        col = _column(values, mask, c, m, "jacobson")
+        overhead = JacobsonIndex(mask, c=c, m=m).overhead_bytes()
         rows.append({
             "c": c, "m": m,
-            "overhead_bytes": col.index.overhead_bytes(),
-            "bits_per_element": col.index.overhead_bytes() * 8 / n_comment,
+            "overhead_bytes": overhead,
+            "bits_per_element": overhead * 8 / n_comment,
         })
     return pd.DataFrame(rows)
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(eq=False)
 class Block:
@@ -71,5 +73,10 @@ class ListGroup:
         )
 
     def tuples(self) -> int:
-        """The tuples the rows stand for."""
-        return self.size if self.mult is None else int(self.mult.sum())
+        """The tuples the rows stand for, exactly: summed in Python ints
+        when an int64 sum could wrap."""
+        if self.mult is None:
+            return self.size
+        if len(self.mult) * int(self.mult.max(initial=0)) <= INT64_MAX:
+            return int(self.mult.sum())
+        return sum(self.mult.tolist())

@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.proc.chunk import Block, ListGroup
+from repro.proc.chunk import INT64_MAX, Block, ListGroup
 from repro.proc.expressions import (
     _COMPARE,
     eval_block_vs_block,
@@ -246,10 +246,7 @@ def _csr_pieces(csr, block_size: int):
     contig)``: ``srcs`` own the piece's lists. The lists tile ``[0, E)``,
     so every piece is ``contig``: a forward page slice under forward
     property pages, a gather otherwise."""
-    owners = (
-        np.flatnonzero(csr.index.unpack_all()) if csr.null_compress
-        else np.arange(csr.n_vertices)
-    )
+    owners = csr.owners()
     for rows, idx, contig, lens in cut_ranges(
         csr.offsets[:-1], csr.offsets[1:], block_size
     ):
@@ -631,7 +628,7 @@ class PhysBatchExtend(Operator):
     (NULL false); that piece and later ones gather ``mask[nbr]``. The piece handed on holds
     only the keep-set, each block gathered once at the survivors (input
     blocks and the rows' multiplicities through ``np.repeat(rows,
-    lens)[sel]``).
+    lens)[sel]``, made only if one of them is read).
     """
 
     def __init__(
@@ -696,11 +693,11 @@ class PhysBatchExtend(Operator):
 
     def _extend(self, group, rows, idx, contig, lens) -> None:
         nbr = self.csr.nbr[slice(*contig) if contig else idx]
-        piece = (group, rows, lens, idx, contig, nbr)
-        sel = at = rep = None  # surviving positions; their input rows
+        piece = (group, rows, lens, idx, contig, nbr, {})
+        sel = None  # surviving positions
         cache: dict[str, Block] = {}  # blocks read at ``sel``
         for st in self.steps:
-            m = self._eval(st, piece, sel, at, cache)
+            m = self._eval(st, piece, sel, cache)
             if m.all():
                 continue
             if not m.any():
@@ -708,36 +705,50 @@ class PhysBatchExtend(Operator):
             sel = np.flatnonzero(m) if sel is None else sel[m]
             for k, b in cache.items():
                 cache[k] = b.take(m)
-            if rep is None:
-                rep = np.repeat(np.arange(rows.start, rows.stop), lens)
-            at = rep[sel]
         blocks = {  # a cached block is never empty: it holds ``sel``
-            k: cache.get(k) or self._read(src, piece, sel, at)
+            k: cache.get(k) or self._read(src, piece, sel)
             for k, src in self.outputs
         }
         mult = group.mult
         if mult is not None:
-            mult = np.repeat(mult[rows], lens) if sel is None else mult[at]
+            mult = (
+                np.repeat(mult[rows], lens) if sel is None
+                else mult[self._rows_at(piece, sel)]
+            )
         size = len(nbr) if sel is None else len(sel)
         self.next.consume(ListGroup(blocks, size, mult))
 
-    def _get(self, key, src, keep, piece, sel, at, cache) -> Block:
+    @staticmethod
+    def _rows_at(piece, sel) -> np.ndarray:
+        """The input rows of the piece's positions ``sel``, made only when
+        a block or the multiplicities read them: one ``np.repeat`` per
+        piece, then one gather per ``sel``."""
+        _, rows, lens, _, _, _, memo = piece
+        if memo.get("sel") is not sel:
+            if "rep" not in memo:
+                memo["rep"] = np.repeat(np.arange(rows.start, rows.stop), lens)
+            memo["sel"], memo["at"] = sel, memo["rep"][sel]
+        return memo["at"]
+
+    def _get(self, key, src, keep, piece, sel, cache) -> Block:
         """Block ``key`` from ``cache``, else read (and cached if ``keep``)."""
         blk = cache.get(key)
         if blk is None:
-            blk = self._read(src, piece, sel, at)
+            blk = self._read(src, piece, sel)
             if keep:
                 cache[key] = blk
         return blk
 
-    def _read(self, src, piece, sel, at) -> Block:
+    def _read(self, src, piece, sel) -> Block:
         """The block of source ``src`` at the piece's positions ``sel``
-        (None: all of them); ``at`` are their input rows."""
-        group, rows, lens, idx, contig, nbr = piece
+        (None: all of them)."""
+        group, rows, lens, idx, contig, nbr, _ = piece
         kind, arg = src
         if kind == "in":
             b = group.blocks[arg]
-            return _expand(b, rows, lens) if sel is None else b.take(at)
+            if sel is None:
+                return _expand(b, rows, lens)
+            return b.take(self._rows_at(piece, sel))
         if kind == "e":
             return _eprop_block_multi(
                 self.estore, arg, self.direction,
@@ -747,7 +758,7 @@ class PhysBatchExtend(Operator):
         ids = nbr if sel is None else nbr[sel]
         return Block(ids) if kind == "nbr" else _block(arg, *arg.get_many(ids))
 
-    def _eval(self, st: _Step, piece, sel, at, cache) -> np.ndarray:
+    def _eval(self, st: _Step, piece, sel, cache) -> np.ndarray:
         """Step ``st``'s mask over the positions ``sel``."""
         p = st.pred
         if st.vcol:
@@ -759,16 +770,16 @@ class PhysBatchExtend(Operator):
                 st.mask = self._column_mask(st) if st.seen > st.vcol.n else None
             if st.mask is not None:
                 return st.mask[nbr]
-        lblk = self._get(st.lkey, st.lsrc, st.lkeep, piece, sel, at, cache)
+        lblk = self._get(st.lkey, st.lsrc, st.lkeep, piece, sel, cache)
         if st.rkey is None:
             return eval_block_vs_literal(p.op, lblk, p.value, st.memo)
-        rblk = self._get(st.rkey, st.rsrc, st.rkeep, piece, sel, at, cache)
+        rblk = self._get(st.rkey, st.rsrc, st.rkeep, piece, sel, cache)
         return eval_block_vs_block(p.op, lblk, rblk)
 
     def _column_mask(self, st: _Step) -> np.ndarray:
         """``st``'s literal over every vertex of its column (NULL false)."""
         vcol = st.vcol
-        blk = _block(vcol, *vcol.get_many(np.arange(vcol.n, dtype=np.int64)))
+        blk = _block(vcol, *vcol.get_range(0, vcol.n))
         return eval_block_vs_literal(st.pred.op, blk, st.pred.value, st.memo)
 
 
@@ -808,7 +819,8 @@ def _live(group: ListGroup, live: set[str] | None) -> ListGroup:
 
 
 class CountSink(Operator):
-    """count(*): the sum of the tuples of the groups it receives."""
+    """count(*): the sum of the tuples of the groups it receives; a
+    count beyond int64 raises ``OverflowError``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -816,6 +828,8 @@ class CountSink(Operator):
 
     def consume(self, group: ListGroup) -> None:
         self.count += group.tuples()
+        if self.count > INT64_MAX:
+            raise OverflowError(f"{self.count} tuples exceed int64")
 
 
 class PhysCountListExtend(Operator):
@@ -839,9 +853,18 @@ class PhysCountListExtend(Operator):
         keep = lens > 0
         if not keep.any():
             return
-        mult = lens if group.mult is None else lens * group.mult
+        mult = lens if group.mult is None else _times(lens, group.mult)
         out = _live(ListGroup(group.blocks, group.size, mult), self.live)
         self.next.consume(out if keep.all() else out.take(keep))
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for non-negative int64 arrays; ``OverflowError`` where a
+    product leaves int64, which numpy would wrap silently."""
+    if len(a) and int(a.max()) * int(b.max()) > INT64_MAX:
+        if max(x * y for x, y in zip(a.tolist(), b.tolist())) > INT64_MAX:
+            raise OverflowError("a multiplicity exceeds int64")
+    return a * b
 
 
 class PhysCountColumnExtend(PhysColumnExtend):

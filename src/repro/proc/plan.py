@@ -197,8 +197,10 @@ def _pred_sql(spec: QuerySpec, p: Predicate, alias: dict[str, str]) -> str:
 def to_sql(spec: QuerySpec, schema: GraphSchema | None = None) -> str:
     """Equivalent SQL over the relational form (oracle + RDBMS baselines).
 
-    The table and column names come from ``spec`` alone; ``schema`` is
-    accepted, and unused, for the callers that pass it positionally."""
+    The table and column names come from ``spec`` alone. ``schema`` is
+    unused; the benchmark's answer oracle (``perfbench/answers.py``)
+    still passes it positionally, so it goes with the next change to
+    the benchmark."""
     alias: dict[str, str] = {v: v for v in spec.vertices}
     joins = []
     seen = set()

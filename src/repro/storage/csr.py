@@ -122,6 +122,13 @@ class CSR:
         full = self.offsets[r]
         return (full[:-1] * bit)[vs], (full[1:] * bit)[vs]
 
+    def owners(self) -> np.ndarray:
+        """The vertex whose list starts at each ``offsets`` entry but the
+        last: the non-empty ones when null-compressed, else every one."""
+        if self.null_compress:
+            return np.flatnonzero(self.index.unpack_all())
+        return np.arange(self.n_vertices)
+
     def degrees_of(self, vs: np.ndarray) -> np.ndarray:
         s, e = self.ranges_of(vs)
         return e - s

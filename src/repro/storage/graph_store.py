@@ -85,20 +85,20 @@ class EdgeStore:
     # the edges live in vertex columns (accounting only).
     extra_id_bytes: int = 0
 
+    def _side(self, direction: str) -> tuple[str, object]:
+        """(kind, structure) of the adjacency in ``direction``."""
+        if direction == "fwd":
+            return self.fwd_kind, self.fwd
+        return self.bwd_kind, self.bwd
+
     def csr(self, direction: str) -> CSR:
-        kind, s = (self.fwd_kind, self.fwd) if direction == "fwd" else (
-            self.bwd_kind,
-            self.bwd,
-        )
+        kind, s = self._side(direction)
         if kind != "csr":
             raise TypeError(f"{self.label.name} {direction} is not a CSR")
         return s
 
     def nbr_vcol(self, direction: str) -> VertexColumn:
-        kind, s = (self.fwd_kind, self.fwd) if direction == "fwd" else (
-            self.bwd_kind,
-            self.bwd,
-        )
+        kind, s = self._side(direction)
         if kind != "vcol":
             raise TypeError(f"{self.label.name} {direction} is not a vcol")
         return s
@@ -131,13 +131,10 @@ class EdgeStore:
         return (self.eprop_kind == "src_vcol") == (direction == "fwd")
 
     def storage_kind(self, direction: str) -> str:
-        return self.fwd_kind if direction == "fwd" else self.bwd_kind
+        return self._side(direction)[0]
 
     def adj_nbytes(self, direction: str) -> int:
-        kind, s = (self.fwd_kind, self.fwd) if direction == "fwd" else (
-            self.bwd_kind,
-            self.bwd,
-        )
+        kind, s = self._side(direction)
         return s.nbytes() + (self.extra_id_bytes if kind == "vcol" else 0)
 
     def eprop_nbytes(self) -> int:

@@ -14,8 +14,12 @@ bit string. The paper layers a simplified Jacobson index on top:
 - ``rank(p) = base[block(p)] + ps[p // c] + M[word[p // c], p mod c]``.
 
 Defaults c = m = 16: a 1 MiB map and 2 bits/element total overhead.
-All reads here are vectorized over numpy index arrays so the LBP
-operators can gather many properties per call.
+
+Only this module knows how a column lays out its NULLs. A
+:class:`NullableColumn` point read (``get_many``) ranks each position;
+its in-order range read (``get_range``, Abadi, Madden & Ferreira,
+SIGMOD 2006) is a slice, or one rank plus a slice of the compacted
+values, under every layout.
 """
 from __future__ import annotations
 
@@ -47,17 +51,55 @@ def popcount_map(c: int) -> np.ndarray:
 
 def pack_bits(mask: np.ndarray, c: int) -> np.ndarray:
     """Pack a bool array into c-bit words (LSB-first within a word)."""
-    mask = np.asarray(mask, dtype=bool)
-    n_words = -(-len(mask) // c) if len(mask) else 0
-    padded = np.zeros(n_words * c, dtype=bool)
-    padded[: len(mask)] = mask
-    weights = (1 << np.arange(c, dtype=np.uint64)).astype(np.uint64)
-    words = (padded.reshape(n_words, c).astype(np.uint64) * weights).sum(axis=1)
-    return words.astype(_WORD_DTYPE[c])
+    packed = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    out = np.zeros(-(-len(mask) // c) * (c // 8), dtype=np.uint8)
+    out[: len(packed)] = packed
+    return out.view(_WORD_DTYPE[c])  # little-endian words, as read back
 
 
-class JacobsonIndex:
-    """Constant-time ``is_set`` and ``rank`` over a bit vector.
+class BitVector:
+    """A bit vector in c-bit words, shared by the three NULL layouts;
+    an uncompressed column's validity bits are one, in bytes (c = 8)."""
+
+    def __init__(self, mask: np.ndarray, *, c: int = 16) -> None:
+        mask = np.asarray(mask, dtype=bool)
+        self.c, self.n = c, len(mask)
+        self.words = pack_bits(mask, c)
+
+    def word_counts(self) -> np.ndarray:
+        """Set bits per word (int64)."""
+        c = self.c
+        top = ((self.words >> (c - 1)) & 1).astype(np.uint8)
+        return (popcount_map(c)[self.words, c - 1] + top).astype(np.int64)
+
+    def is_set(self, idx: np.ndarray) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        w = self.words[idx // self.c].astype(np.int64)
+        return ((w >> (idx % self.c)) & 1).astype(bool)
+
+    def is_set_one(self, p: int) -> bool:
+        """Scalar fast path (no numpy temporaries) for per-list lookups."""
+        return bool((int(self.words[p // self.c]) >> (p % self.c)) & 1)
+
+    def bits(self, start: int, end: int) -> np.ndarray:
+        """Bits ``[start, end)`` as a bool array, unpacking only the
+        words that hold them."""
+        w0 = start // self.c
+        w1 = -(-end // self.c)
+        bits = np.unpackbits(self.words[w0:w1].view(np.uint8), bitorder="little")
+        return bits[start - w0 * self.c:end - w0 * self.c].astype(bool)
+
+    def unpack_all(self) -> np.ndarray:
+        """The full bit vector as a bool array (whole-column scans)."""
+        return self.bits(0, self.n)
+
+    def overhead_bytes(self) -> int:
+        """The bits alone, n of them."""
+        return -(-self.n // 8)
+
+
+class JacobsonIndex(BitVector):
+    """Constant-time ``rank`` over a bit vector.
 
     Parameters
     ----------
@@ -70,21 +112,15 @@ class JacobsonIndex:
     def __init__(self, mask: np.ndarray, *, c: int = 16, m: int = 16) -> None:
         if m not in (8, 16, 24, 32):
             raise ValueError("m must be one of 8, 16, 24, 32")
-        mask = np.asarray(mask, dtype=bool)
-        self.c, self.m = c, m
-        self.n = len(mask)
-        self.words = pack_bits(mask, c)
+        super().__init__(mask, c=c)
+        self.m = m
         block = 1 << m  # elements per block
         if block % c:
             raise ValueError("block size 2^m must be a multiple of c")
         words_per_block = block // c
         n_words = len(self.words)
-        # Set-bit count per word, then per-block exclusive prefix sums.
-        counts = popcount_map(c)[self.words, c - 1] + (
-            (self.words >> (c - 1)) & 1
-        ).astype(np.uint8)
-        counts = counts.astype(np.int64)
-        csum = np.concatenate(([0], np.cumsum(counts)))  # rank at word starts
+        # Per-block exclusive prefix sums of the per-word set-bit counts.
+        csum = np.concatenate(([0], np.cumsum(self.word_counts())))
         n_blocks = max(1, -(-n_words // words_per_block))
         self.block_base = csum[
             np.minimum(np.arange(n_blocks) * words_per_block, n_words)
@@ -94,16 +130,10 @@ class JacobsonIndex:
         ]
         ps_dtype = {8: np.uint8, 16: np.uint16, 24: np.uint32, 32: np.uint32}[m]
         self.prefix_sums = within.astype(ps_dtype)
-        self._words_per_block = words_per_block
         # c and 2^m / c are powers of two: word and block by shifting.
         self._c_shift = c.bit_length() - 1
         self._block_shift = words_per_block.bit_length() - 1
         self.total_set = int(csum[-1]) if n_words else 0
-
-    def is_set(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        w = self.words[idx // self.c].astype(np.int64)
-        return ((w >> (idx % self.c)) & 1).astype(bool)
 
     def rank(self, idx: np.ndarray, *, with_bits: bool = False):
         """Number of set bits strictly before each position (vectorized).
@@ -125,23 +155,11 @@ class JacobsonIndex:
             return ranks, (w >> b) & 1
         return ranks
 
-    def unpack_all(self) -> np.ndarray:
-        """The full bit vector as a bool array (one vectorized unpack —
-        used by whole-column scans)."""
-        bits = np.unpackbits(
-            self.words.view(np.uint8), bitorder="little"
-        )
-        return bits[: self.n].astype(bool)
-
-    def is_set_one(self, p: int) -> bool:
-        """Scalar fast path (no numpy temporaries) for per-list lookups."""
-        return bool((int(self.words[p // self.c]) >> (p % self.c)) & 1)
-
     def rank_one(self, p: int) -> int:
         q = p // self.c
         word_before = int(self.words[q]) & ((1 << (p % self.c)) - 1)
         return (
-            int(self.block_base[q // self._words_per_block])
+            int(self.block_base[q >> self._block_shift])
             + int(self.prefix_sums[q])
             + word_before.bit_count()
         )
@@ -153,7 +171,7 @@ class JacobsonIndex:
         return -(-bits // 8) + self.block_base.nbytes
 
 
-class VanillaBitIndex:
+class VanillaBitIndex(BitVector):
     """Abadi's plain bit-string secondary structure (no rank index).
 
     ``rank`` popcounts every preceding word — O(p) per lookup. This is
@@ -162,22 +180,8 @@ class VanillaBitIndex:
     """
 
     def __init__(self, mask: np.ndarray, *, c: int = 16) -> None:
-        self.c = c
-        self.n = len(mask)
-        self.words = pack_bits(mask, c)
-        self._counts = (
-            popcount_map(c)[self.words, c - 1]
-            + ((self.words >> (c - 1)) & 1).astype(np.uint8)
-        ).astype(np.int64)
-
-    def is_set(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        w = self.words[idx // self.c].astype(np.int64)
-        return ((w >> (idx % self.c)) & 1).astype(bool)
-
-    def unpack_all(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return bits[: self.n].astype(bool)
+        super().__init__(mask, c=c)
+        self._counts = self.word_counts()
 
     def rank(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
@@ -189,9 +193,6 @@ class VanillaBitIndex:
             )
         return out
 
-    def overhead_bytes(self) -> int:
-        return -(-self.n // 8)
-
 
 class NullableColumn:
     """A fixed-length column with one of three NULL storage modes.
@@ -201,8 +202,11 @@ class NullableColumn:
     - ``jacobson``: compacted non-NULL values + :class:`JacobsonIndex`.
     - ``vanilla``: compacted values + :class:`VanillaBitIndex`.
 
-    ``get_many`` returns ``(values, null_mask)`` with NULL positions
-    filled by a dtype-appropriate sentinel (0 / NaN / None).
+    Values are stored by position when uncompressed or free of NULLs;
+    then reads need no rank. ``get_many`` / ``get_range`` return
+    ``(values, null_mask)`` with NULL positions filled by a
+    dtype-appropriate sentinel (0 / None); callers never write into
+    the values, which may be a view.
     """
 
     def __init__(
@@ -224,7 +228,7 @@ class NullableColumn:
             self.values = values.copy()
             if self.values.dtype != object:
                 self.values[~mask] = 0
-            self.index = JacobsonIndex(mask, c=c, m=m)  # used only for is_set
+            self.index = BitVector(mask, c=8)
         elif mode == "jacobson":
             self.values = values[mask]
             self.index = JacobsonIndex(mask, c=c, m=m)
@@ -234,14 +238,17 @@ class NullableColumn:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._all_set = bool(mask.all())
+        self._by_pos = mode == "uncompressed" or self._all_set
 
     def get_many(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(idx)
-        if self._all_set and self.mode != "vanilla":
+        if self._all_set:
             # Dense column: positions equal ranks, so skip the
             # validity-bit gather and the rank computation entirely.
             return self.values[idx], np.zeros(len(idx), dtype=bool)
         idx = idx.astype(np.int64, copy=False)
+        if self.mode == "uncompressed":
+            return self.values[idx], ~self.index.is_set(idx)
         if self.mode == "jacobson" and len(self.values):
             # One Jacobson pass gives each rank and the position's own bit.
             # An unset position takes the next set one's rank, which may
@@ -253,34 +260,44 @@ class NullableColumn:
                 out[nulls] = None if out.dtype == object else 0
             return out, nulls
         present = self.index.is_set(idx)
-        if self.mode == "uncompressed":
-            return self.values[idx], ~present
-        out = np.zeros(len(idx), dtype=self.values.dtype)
-        if self.values.dtype == object:
-            out = np.full(len(idx), None, dtype=object)
+        out = self._blank(len(idx))
         if present.any():
-            ranks = self.index.rank(idx[present])
-            out[present] = self.values[ranks]
+            out[present] = self.values[self.index.rank(idx[present])]
+        return out, ~present
+
+    def get_range(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions ``[start, end)`` in order: a slice of the values where
+        they are stored by position, else the slice of the compacted
+        values from the rank of ``start`` scattered at the set bits."""
+        if self._all_set:
+            return self.values[start:end], np.zeros(end - start, dtype=bool)
+        present = self.index.bits(start, end)
+        if self._by_pos:
+            return self.values[start:end], ~present
+        out = self._blank(end - start)
+        k = int(np.count_nonzero(present))
+        if k:
+            r = self._rank_one(start)
+            out[present] = self.values[r:r + k]
         return out, ~present
 
     def get_one(self, i: int):
         """Scalar read (Volcano path): value or None, no numpy temporaries."""
-        if self._all_set and self.mode != "vanilla":
-            v = self.values[i]
-            return v.item() if hasattr(v, "item") else v
-        if self.mode == "uncompressed":
-            if not self._all_set and not self.index.is_set_one(i):
-                return None
-            v = self.values[i]
-            return v.item() if hasattr(v, "item") else v
-        if not self.index.is_set_one(i):
+        if not self._all_set and not self.index.is_set_one(i):
             return None
-        if self.mode == "vanilla":
-            r = int(self.index.rank(np.array([i]))[0])
-        else:
-            r = self.index.rank_one(i)
-        v = self.values[r]
+        v = self.values[i if self._by_pos else self._rank_one(i)]
         return v.item() if hasattr(v, "item") else v
+
+    def _rank_one(self, p: int) -> int:
+        if self.mode == "jacobson":
+            return self.index.rank_one(p)
+        return int(self.index.rank(np.array([p]))[0])  # vanilla: O(p)
+
+    def _blank(self, k: int) -> np.ndarray:
+        """``k`` NULL sentinels of the values' dtype."""
+        if self.values.dtype == object:
+            return np.full(k, None, dtype=object)
+        return np.zeros(k, dtype=self.values.dtype)
 
     def nbytes(self) -> int:
         if self.values.dtype == object:
@@ -289,6 +306,4 @@ class NullableColumn:
             )
         else:
             payload = int(self.values.nbytes)
-        if self.mode == "uncompressed":
-            return payload + -(-self.n // 8)  # validity bits only
         return payload + self.index.overhead_bytes()

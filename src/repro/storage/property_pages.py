@@ -11,9 +11,12 @@ lists (k = 128 by default). The accompanying edge ID scheme is
 - only the small page-level slot is stored in adjacency lists.
 
 Address of an edge's property: ``page_starts[src // k] + slot``. Reading
-along a forward adjacency list is a contiguous slice (sequential);
-reading along a backward list is a gather (random) — the asymmetry
-measured in Table 3.
+along a forward adjacency list is an in-order range read (sequential):
+a slice of the column, or under NULL compression one rank of the
+range's start and a slice of the compacted values
+(:meth:`repro.storage.null_compression.NullableColumn.get_range`).
+Reading along a backward list is a gather (random), one rank per
+position — the asymmetry measured in Table 3.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import numpy as np
 import pandas as pd
 
 from repro.graphs.schema import EdgeLabel
+from repro.storage.compression import suppress
 from repro.storage.vertex_column import VertexColumn
 
 
@@ -62,8 +66,6 @@ class PropertyPages:
         full_offsets = np.concatenate(([0], np.cumsum(degrees)))
         n_pages = max(1, -(-n_src // k))
         # Page base table, leading-0 suppressed (positions < n_edges).
-        from repro.storage.compression import suppress
-
         page_starts = suppress(
             full_offsets[np.minimum(np.arange(n_pages + 1) * k, n_src)]
         )
@@ -88,20 +90,11 @@ class PropertyPages:
     # -- reads ---------------------------------------------------------------
 
     def read_fwd_range(self, prop: str, start: int, end: int):
-        """Sequential read: the properties of one forward adjacency list.
-        Returns (values-or-codes, nulls, column) — a view when uncompressed."""
+        """Sequential read: the properties of the forward adjacency
+        positions ``[start, end)``. Returns (values-or-codes, nulls,
+        column); the values may be a view of the column."""
         col = self.columns[prop]
-        if col.col.mode == "uncompressed":
-            vals = col.col.values[start:end]
-            if col.col._all_set:
-                nulls = np.zeros(end - start, dtype=bool)
-            else:
-                nulls = ~col.col.index.is_set(
-                    np.arange(start, end, dtype=np.int64)
-                )
-            return vals, nulls, col
-        vals, nulls = col.get_many(np.arange(start, end, dtype=np.int64))
-        return vals, nulls, col
+        return (*col.get_range(start, end), col)
 
     def read_fwd_positions(self, prop: str, idx: np.ndarray):
         """Read by *global forward positions*. Because page order equals

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.storage.compression import DictionaryColumn, suppress
+from repro.storage.compression import dictionary_encode, suppress
 from repro.storage.null_compression import NullableColumn
 
 _NUMERIC = {"int32": np.int32, "int64": np.int64, "float64": np.float64}
@@ -65,12 +65,9 @@ class VertexColumn:
             vals = series.to_numpy(dtype=object)
             mask = np.array([v is not None and v == v for v in vals], dtype=bool)
             if categorical:
-                dc = DictionaryColumn.encode(vals)
-                codes = dc.codes.astype(np.int64)
-                col = NullableColumn(
-                    suppress(np.where(mask, codes, 0)), mask, mode=null_mode
-                )
-                return cls("dict", col, dc.values)
+                codes, dictionary = dictionary_encode(vals, mask)
+                col = NullableColumn(codes, mask, mode=null_mode)
+                return cls("dict", col, dictionary)
             clean = np.array(
                 [v if (v is not None and v == v) else None for v in vals],
                 dtype=object,
@@ -113,6 +110,10 @@ class VertexColumn:
         """(values-or-codes, null-mask); dict columns return codes —
         decode through ``self.dictionary`` or predicate on it directly."""
         return self.col.get_many(idx)
+
+    def get_range(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """``get_many`` of positions ``[start, end)``, read in order."""
+        return self.col.get_range(start, end)
 
     def get_one(self, i: int):
         """Scalar access (Volcano path); decodes dict values; NULL → None."""

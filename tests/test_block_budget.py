@@ -86,7 +86,7 @@ def _duckdb(data, spec) -> pd.DataFrame:
     try:
         for name, t in data.sql_tables().items():
             con.register(name, t)
-        return con.execute(to_sql(spec, data.schema)).fetchdf()
+        return con.execute(to_sql(spec)).fetchdf()
     finally:
         con.close()
 

@@ -1,10 +1,12 @@
 """Unit tests for fixed-length compression codes (§5.1)."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.compression import DictionaryColumn, min_uint_dtype, suppress
+from repro.storage.compression import dictionary_encode, min_uint_dtype, suppress
+from repro.storage.vertex_column import VertexColumn
 
 
 @pytest.mark.parametrize(
@@ -49,44 +51,49 @@ def test_suppress_shrinks_bytes():
     assert arr.nbytes == 800
 
 
+def _decode(codes, dictionary, mask):
+    return [dictionary[c] if ok else None for c, ok in zip(codes, mask)]
+
+
+def _mask(col):
+    return np.array([v is not None for v in col], dtype=bool)
+
+
 class TestDictionaryColumn:
     def test_roundtrip(self):
         col = np.array(["b", "a", "b", "c", "a"], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        assert list(dc.decode(np.arange(5))) == list(col)
-        assert len(dc.values) == 3
+        codes, dictionary = dictionary_encode(col, _mask(col))
+        assert _decode(codes, dictionary, _mask(col)) == list(col)
+        assert list(dictionary) == ["a", "b", "c"]  # sorted
 
-    def test_nulls_encode_to_reserved_code(self):
+    def test_nulls_take_code_zero(self):
         col = np.array(["x", None, "y", None], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        assert dc.codes[1] == dc.null_code
-        assert dc.decode(np.array([1]))[0] is None
-        assert dc.decode(np.array([0]))[0] == "x"
+        codes, dictionary = dictionary_encode(col, _mask(col))
+        assert list(codes) == [0, 0, 1, 0]
+        assert list(dictionary) == ["x", "y"]  # no NULL entry
 
     def test_codes_are_fixed_width_and_small(self):
         col = np.array([f"v{i % 3}" for i in range(1000)], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        assert dc.codes.dtype == np.uint8  # 3 values -> 1 byte codes
+        codes, _ = dictionary_encode(col, _mask(col))
+        assert codes.dtype == np.uint8  # 3 values -> 1 byte codes
 
     def test_code_width_grows_with_cardinality(self):
         col = np.array([f"v{i}" for i in range(300)], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        assert dc.codes.dtype == np.uint16
+        codes, _ = dictionary_encode(col, _mask(col))
+        assert codes.dtype == np.uint16
 
     def test_nbytes_counts_codes_and_dictionary(self):
-        col = np.array(["aa", "bb", "aa"], dtype=object)
-        dc = DictionaryColumn.encode(col)
-        assert dc.nbytes() == 3 * 1 + 4  # 3 codes + "aa"+"bb" payload
-
-    def test_len(self):
-        dc = DictionaryColumn.encode(np.array(["a"] * 7, dtype=object))
-        assert len(dc) == 7
+        col = VertexColumn.from_series(
+            pd.Series(["aa", "bb", "aa"]), "str", categorical=True
+        )
+        # 3 one-byte codes, 1 byte of validity bits, "aa"+"bb" payload.
+        assert col.nbytes() == 3 * 1 + 1 + 4
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", "dd", None]), max_size=200))
 def test_dictionary_roundtrip_hypothesis(values):
     col = np.array(values, dtype=object)
-    dc = DictionaryColumn.encode(col)
-    got = list(dc.decode(np.arange(len(col)))) if len(col) else []
-    assert got == values
+    codes, dictionary = dictionary_encode(col, _mask(col))
+    assert _decode(codes, dictionary, _mask(col)) == values
+    assert list(dictionary) == sorted(set(values) - {None})

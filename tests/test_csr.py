@@ -37,6 +37,15 @@ def test_vectorized_ranges_match_scalar(null_compress):
     assert (csr.degrees_of(vs) == ends - starts).all()
 
 
+@pytest.mark.parametrize("null_compress", [False, True])
+def test_owners_own_each_offsets_entry(null_compress):
+    csr = CSR(5, OWNERS, NBRS, null_compress=null_compress)
+    owners = csr.owners()
+    assert list(owners) == ([0, 1, 3] if null_compress else [0, 1, 2, 3, 4])
+    for v, s, e in zip(owners, csr.offsets[:-1], csr.offsets[1:]):
+        assert csr.range_of(int(v)) == (s, e)
+
+
 def test_slots_follow_owner_sort():
     csr = CSR(5, OWNERS, NBRS, slots=SLOTS)
     s, e = csr.range_of(3)

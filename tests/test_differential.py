@@ -69,10 +69,10 @@ class Env:
                     )
 
     def count(self, spec: QuerySpec) -> int:
-        return int(self.con.execute(to_sql(spec, self.schema)).fetchone()[0])
+        return int(self.con.execute(to_sql(spec)).fetchone()[0])
 
     def result(self, spec: QuerySpec) -> pd.DataFrame:
-        return self.con.execute(to_sql(spec, self.schema)).fetchdf()
+        return self.con.execute(to_sql(spec)).fetchdf()
 
 
 @pytest.fixture(scope="module")

@@ -41,7 +41,7 @@ def test_distributed_count(spark, ldbc, ldbc_store):
     )
     got = run_distributed(spark, ldbc_store, spec, n_parts=8)
     df = run_distributed_df(spark, ldbc_store, spec, n_parts=8)
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     assert_equivalent(df, sql, **ldbc.sql_tables())
     assert got == df.collect()[0]["cnt"]
 
@@ -55,7 +55,7 @@ def test_distributed_projection(spark, ldbc, ldbc_store):
         ["c", "p"],
     )
     df = run_distributed(spark, ldbc_store, spec, n_parts=4)
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     assert_equivalent(df, sql, **ldbc.sql_tables())
 
 
@@ -90,7 +90,7 @@ def test_distributed_id_query_matches_duckdb(spark, ldbc, ldbc_store, person_id)
         [E("p", "f", "knows", "k")], [Pr("p", "id", "=", person_id)],
         [("f", "id"), ("f", "fName"), ("k", "date")], ["p", "f"],
     )
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     df = run_distributed(spark, ldbc_store, spec, n_parts=4)
     assert sorted(df.columns) == ["f_fName", "f_id", "k_date"]
     assert (df.count() > 0) == (person_id == 3)
@@ -101,7 +101,7 @@ def test_distributed_id_query_matches_duckdb(spark, ldbc, ldbc_store, person_id)
     )
     assert_equivalent(
         run_distributed_df(spark, ldbc_store, count, n_parts=4),
-        to_sql(count, ldbc.schema), **ldbc.sql_tables(),
+        to_sql(count), **ldbc.sql_tables(),
     )
 
 
@@ -125,4 +125,4 @@ def test_distributed_splits_the_key_range(
     )
     df = run_distributed(spark, ldbc_store, spec, n_parts=4)
     assert splits == [[(20, 23), (23, 26), (26, 29), (29, 31)]]
-    assert_equivalent(df, to_sql(spec, ldbc.schema), **ldbc.sql_tables())
+    assert_equivalent(df, to_sql(spec), **ldbc.sql_tables())

@@ -125,6 +125,35 @@ class TestExactVectorizedCount:
         assert run_lbp(store, spec) == 50 * 49 ** 4
 
 
+def _star_spec(k: int) -> QuerySpec:
+    """a → b0, …, a → b{k-1}: no chain, so the engine counts it through
+    row multiplicities, each extend's list lengths multiplied along."""
+    leaves = [f"b{i}" for i in range(k)]
+    return QuerySpec(
+        f"star{k}", {v: "node" for v in ["a", *leaves]},
+        [E("a", b, "link") for b in leaves], [], "count",
+    )
+
+
+class TestStarCountOverflow:
+    """A star's count is Σ_a Π deg(a): its multiplicities and their sum
+    must not wrap int64 silently."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return _complete_digraph_store(200, StorageConfig.gf_cl())
+
+    def test_within_int64_exact(self, store):
+        spec = _star_spec(7)
+        assert _try_vectorized_count(store, spec, None) is None
+        assert run_lbp(store, spec) == 200 * 199 ** 7
+
+    @pytest.mark.parametrize("k", [8, 9])  # 8: the sum leaves int64; 9: a product
+    def test_beyond_int64_raises(self, store, k):
+        with pytest.raises(OverflowError):
+            run_lbp(store, _star_spec(k))
+
+
 class TestBatchExtend:
     def _ops(self, store, spec):
         scan, _ = compile_lbp(store, spec)
@@ -133,6 +162,26 @@ class TestBatchExtend:
             out.append(op)
             op = op.next
         return out
+
+    def test_survivor_rows_made_only_when_read(self, ldbc_store, monkeypatch):
+        """A filtered extend makes its survivors' input rows only for a
+        block or multiplicity that reads them: never before CountSink."""
+        calls = []
+        real = PhysBatchExtend._rows_at
+
+        def counted(piece, sel):
+            calls.append(len(sel))
+            return real(piece, sel)
+
+        monkeypatch.setattr(PhysBatchExtend, "_rows_at", staticmethod(counted))
+        edges = [E("a", "b", "knows", "e")]
+        preds = [Pr("e", "date", ">", 1_300_000_000)]
+        vs = {"a": "Person", "b": "Person"}
+        count = QuerySpec("c", vs, edges, preds, "count")
+        want = run_volcano(ColumnarAdapter(ldbc_store), count)
+        assert 0 < run_lbp(ldbc_store, count) == want and calls == []
+        rows = QuerySpec("r", vs, edges, preds, [("a", "id"), ("b", "id")])
+        assert len(run_lbp(ldbc_store, rows)) == want and calls
 
     def test_projection_plans_use_batch_extends(self, ldbc_store):
         spec = QuerySpec(

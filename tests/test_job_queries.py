@@ -18,7 +18,7 @@ from repro.proc.volcano import ColumnarAdapter, run_volcano_df
 @pytest.mark.parametrize("spec", JOB_QUERIES, ids=lambda s: s.name)
 def test_job_lbp_vs_oracle(spark, imdb, imdb_store, spec):
     got = run_lbp_df(imdb_store, spec)
-    sql = to_sql(spec, imdb.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **imdb.sql_tables())
 
 
@@ -29,7 +29,7 @@ def test_job_lbp_vs_oracle(spark, imdb, imdb_store, spec):
 )
 def test_job_volcano_vs_oracle(spark, imdb, imdb_store, spec):
     got = run_volcano_df(ColumnarAdapter(imdb_store), spec)
-    sql = to_sql(spec, imdb.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **imdb.sql_tables())
 
 
@@ -113,7 +113,7 @@ def test_same_template_different_literals_match_oracle(spark, imdb, imdb_store):
         ])
         got = run_lbp_df(imdb_store, s, block_size=64)
         assert_equivalent(
-            pandas_to_spark(spark, got), to_sql(s, imdb.schema),
+            pandas_to_spark(spark, got), to_sql(s),
             **imdb.sql_tables(),
         )
         counts.append(int(got["cnt"][0]))

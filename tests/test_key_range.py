@@ -95,7 +95,7 @@ def _duckdb(data, spec):
     try:
         for name, t in data.sql_tables().items():
             con.register(name, t)
-        return con.execute(to_sql(spec, data.schema)).fetchdf()
+        return con.execute(to_sql(spec)).fetchdf()
     finally:
         con.close()
 

@@ -13,7 +13,7 @@ from repro.proc.plan import QuerySpec, to_sql
 
 def check(spark, data, store, spec):
     got = run_lbp_df(store, spec)
-    sql = to_sql(spec, data.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **data.sql_tables())
 
 

@@ -20,14 +20,14 @@ def rv(ldbc):
 @pytest.mark.parametrize("spec", ALL_LDBC, ids=lambda s: s.name)
 def test_ldbc_lbp_vs_oracle(spark, ldbc, ldbc_store, spec):
     got = run_lbp_df(ldbc_store, spec)
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **ldbc.sql_tables())
 
 
 @pytest.mark.parametrize("spec", ALL_LDBC, ids=lambda s: s.name)
 def test_ldbc_volcano_rv_vs_oracle(spark, ldbc, rv, spec):
     got = run_volcano_df(rv, spec)
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **ldbc.sql_tables())
 
 

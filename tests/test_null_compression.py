@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.compression import dictionary_encode
 from repro.storage.null_compression import (
+    BitVector,
     JacobsonIndex,
     NullableColumn,
     VanillaBitIndex,
@@ -142,16 +144,18 @@ def test_nullable_column_object_values():
     assert list(nulls) == [False, True, False, True]
 
 
-def _two_pass(col, idx):
-    """``get_many`` as two passes: presence bits, then the ranks of the
-    present positions only, scattered into a sentinel-filled output."""
-    present = col.index.is_set(idx)
-    if col.values.dtype == object:
+def _two_pass(vals, mask, mode, idx):
+    """``get_many`` as two passes over a separately built index:
+    presence bits, then the ranks of the present positions only,
+    scattered into a sentinel-filled output."""
+    index = JacobsonIndex(mask) if mode == "jacobson" else VanillaBitIndex(mask)
+    present = index.is_set(idx)
+    if vals.dtype == object:
         out = np.full(len(idx), None, dtype=object)
     else:
-        out = np.zeros(len(idx), dtype=col.values.dtype)
+        out = np.zeros(len(idx), dtype=vals.dtype)
     if present.any():
-        out[present] = col.values[col.index.rank(idx[present])]
+        out[present] = vals[mask][index.rank(idx[present])]
     return out, ~present
 
 
@@ -171,10 +175,72 @@ def test_get_many_matches_two_passes(mode, dtype, density):
     for idx in (np.zeros(0, np.int64), np.array([0]), np.array([n - 1]),
                 rng.integers(0, n, 400)):
         got, nulls = col.get_many(idx)
-        want, want_nulls = _two_pass(col, idx)
+        want, want_nulls = _two_pass(vals, mask, mode, idx)
         assert got.dtype == want.dtype and len(got) == len(idx)
         assert (nulls == want_nulls).all() and (nulls == ~mask[idx]).all()
         assert list(got) == list(want)
+
+
+def _column_values(kind, n, rng):
+    """``n`` values of a column kind: a numeric dtype, raw strings, or
+    dictionary codes as a string column stores them."""
+    if kind == "codes":
+        strs = np.array([f"s{v}" for v in rng.integers(0, 40, n)], dtype=object)
+        return dictionary_encode(strs, np.ones(n, dtype=bool))[0]
+    vals = rng.integers(1, 10**6, n).astype(kind)
+    if kind == "object":
+        return np.array([f"s{v}" for v in vals], dtype=object)
+    return vals
+
+
+@pytest.mark.parametrize("mode", ["uncompressed", "jacobson", "vanilla"])
+@pytest.mark.parametrize("kind", ["int64", "float64", "object", "codes"])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_get_range_matches_get_many(mode, kind, density):
+    rng = np.random.default_rng(9)
+    n = 1000  # not a multiple of 8 or 16 words' bits
+    mask = rng.random(n) < density
+    col = NullableColumn(_column_values(kind, n, rng), mask, mode=mode)
+    # Empty, the first position, word-unaligned, the last position, the
+    # empty range at the end and the whole column.
+    for start, end in ((5, 5), (0, 1), (3, 45), (17, 998), (n - 1, n),
+                       (n, n), (0, n)):
+        got, nulls = col.get_range(start, end)
+        want, want_nulls = col.get_many(np.arange(start, end))
+        assert got.dtype == want.dtype and len(got) == end - start
+        assert nulls.dtype == bool and (nulls == want_nulls).all()
+        assert (nulls == ~mask[start:end]).all()
+        assert list(got) == list(want)
+
+
+def test_bits_unpacks_any_range():
+    rng = np.random.default_rng(10)
+    mask = rng.random(333) < 0.5
+    for c in (8, 16):
+        bv = BitVector(mask, c=c)
+        for start, end in ((0, 333), (7, 9), (16, 32), (330, 333), (333, 333)):
+            assert (bv.bits(start, end) == mask[start:end]).all()
+        assert (bv.unpack_all() == mask).all()
+
+
+def _arrays(obj):
+    """Every numpy array ``obj`` holds, through nested ``repro`` objects."""
+    for v in vars(obj).values():
+        if isinstance(v, np.ndarray):
+            yield v
+        elif type(v).__module__.startswith("repro."):
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 1000, 1001])
+def test_uncompressed_arrays_total_nbytes(n):
+    """An uncompressed column holds its values and its validity bits,
+    and nothing ``nbytes`` does not count."""
+    mask = np.arange(n) % 3 > 0
+    col = NullableColumn(np.arange(n, dtype=np.int32), mask, mode="uncompressed")
+    arrays = list(_arrays(col))
+    assert len(arrays) == 2  # values, validity words
+    assert sum(a.nbytes for a in arrays) == col.nbytes() == 4 * n + -(-n // 8)
 
 
 def test_nullable_column_length_mismatch():

@@ -127,7 +127,7 @@ def _duckdb_count(data, spec) -> int:
     try:
         for name, t in data.sql_tables().items():
             con.register(name, t)
-        return int(con.execute(to_sql(spec, data.schema)).fetchone()[0])
+        return int(con.execute(to_sql(spec)).fetchone()[0])
     finally:
         con.close()
 

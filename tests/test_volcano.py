@@ -25,7 +25,7 @@ def adapters(ldbc, ldbc_store):
 @pytest.mark.parametrize("adapter_name", ["GF-CV", "GF-RV", "NEO4J-SIM"])
 def test_volcano_vs_oracle(spark, ldbc, adapters, adapter_name, spec):
     got = run_volcano_df(adapters[adapter_name], spec)
-    sql = to_sql(spec, ldbc.schema)
+    sql = to_sql(spec)
     assert_equivalent(pandas_to_spark(spark, got), sql, **ldbc.sql_tables())
 
 
